@@ -7,7 +7,7 @@
 #   ./ci.sh --analyze    only the static-analysis gate (fast pre-commit check)
 #   ./ci.sh --scenarios  only the scenario library: tests + bench smoke
 #   ./ci.sh --merge      only the shard-safety analysis + sharded evaluation path
-#   ./ci.sh --digest     only the digest plane: digest tests + sharded bench smoke
+#   ./ci.sh --digest     only the sharded digest: digest tests + bench smoke
 #   ./ci.sh --jit        only the compiled execution tier: tier sweeps + bench smoke
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -46,18 +46,18 @@ if [[ "${1:-}" == "--scenarios" ]]; then
 fi
 
 if [[ "${1:-}" == "--digest" ]]; then
-    # Fast path while iterating on the parallel digest plane: the
-    # digest fold + worker lifecycle + proptest suite, the GPA wiring,
-    # the kvstore differential, and a short hotpath bench run that
-    # exercises the sharded arms — skips fmt/clippy/miri and the full
+    # Fast path while iterating on the inline columnar digest: the
+    # digest fold + scalar-oracle proptest suite, the GPA wiring, the
+    # kvstore differential, and a short hotpath bench run that
+    # exercises both digest arms — skips fmt/clippy/miri and the full
     # suite.
-    echo "==> sharded digest plane (pubsub)"
+    echo "==> sharded digest (pubsub)"
     cargo test -q -p pubsub digest
     echo "==> GPA digest wiring (core)"
     cargo test -q -p sysprof digest
     echo "==> sharded GPA end-to-end (kvstore differential)"
     cargo test -q --test sharded_gpa
-    echo "==> bench smoke (hot path incl. sharded digest arms)"
+    echo "==> bench smoke (hot path incl. digest arms)"
     cargo run -q --release -p sysprof-bench --bin hotpath -- --smoke \
         --min-speedup 0.5 --out target/BENCH_hotpath_smoke.json
     test -s target/BENCH_hotpath_smoke.json

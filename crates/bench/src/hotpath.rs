@@ -155,8 +155,8 @@ pub fn compile_digest(shards: usize) -> pubsub::digest::ShardedDigest {
 pub const DIGEST_CHUNK: usize = 4096;
 
 /// The timed body of one digest bench arm: ingests every record of the
-/// stream in [`DIGEST_CHUNK`]-sized row batches and runs the merge
-/// barrier, so a sharded digest pays its flush + drain + fold inside
+/// stream in [`DIGEST_CHUNK`]-sized row batches and ends with a merged
+/// read, so every arm pays its pending-row evaluation and fold inside
 /// the measurement, exactly as a report boundary would. Returns the
 /// merged statics' raw bits (used to assert sequential/sharded
 /// bit-identity without trusting either arm).

@@ -287,19 +287,13 @@ impl Gpa {
         self.ingest_interaction(*rec);
     }
 
-    /// Feeds a batch of interaction records and then flushes any
-    /// partially-filled digest batches to their shard workers, so the
-    /// batch boundary the caller sees (one daemon delivery, one bench
-    /// chunk) is also a digest pipeline boundary.
+    /// Feeds a batch of interaction records.
     pub fn ingest_records<'a, I>(&mut self, recs: I)
     where
         I: IntoIterator<Item = &'a InteractionRecord>,
     {
         for rec in recs {
             self.ingest_interaction(*rec);
-        }
-        if let Some(digest) = self.digest.as_mut() {
-            digest.flush();
         }
     }
 
@@ -459,14 +453,6 @@ impl Gpa {
                 }
                 Ok(None) => {}
                 Err(_) => self.decode_failures += 1,
-            }
-        }
-        // One daemon delivery is one digest pipeline boundary: ship any
-        // partial per-shard batches so records never linger in builders
-        // while the GPA waits for the next wire batch.
-        if count > 0 {
-            if let Some(digest) = self.digest.as_mut() {
-                digest.flush();
             }
         }
         count

@@ -1,12 +1,13 @@
 //! Vectorized batch evaluation for fully-mergeable digest programs.
 //!
-//! The sharded GPA feeds each shard worker *columns* of raw input bits
-//! (one `&[i64]` per declared input, one lane per record). Running the
-//! scalar VM row-at-a-time from those columns pays interpreter dispatch,
-//! stack traffic, and fuel checks per record. This module compiles the
-//! same bytecode once into a short linear program of *vector ops* that
-//! each sweep a whole batch, so the dispatch cost amortizes across ~1k
-//! lanes and the inner loops autovectorize.
+//! The sharded GPA buffers each shard replica's records as *columns*
+//! of raw input bits (one `&[i64]` per declared input, one lane per
+//! record). Running the scalar VM row-at-a-time from those columns
+//! pays interpreter dispatch, stack traffic, and fuel checks per
+//! record. This module compiles the same bytecode once into a short
+//! linear program of *vector ops* that each sweep a whole batch, so the
+//! dispatch cost amortizes across ~1k lanes and the inner loops
+//! autovectorize.
 //!
 //! # Why this is legal, and exactly when
 //!
@@ -42,7 +43,7 @@
 //! the vector path can never hit `OutOfFuel` mid-batch — and because
 //! non-constant divisors bail at compile time it can never trap — which
 //! is why it needs no per-lane abort story. Return values and `out()`
-//! are *not* produced: the digest plane only observes statics and fuel.
+//! are *not* produced: the digest only observes statics and fuel.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -185,7 +186,7 @@ struct Edge {
 }
 
 /// A digest program compiled for whole-batch evaluation, plus its
-/// reusable column arenas. Create one per worker with
+/// reusable column arenas. Create one per digest with
 /// [`try_compile`](BatchEval::try_compile); call
 /// [`run`](BatchEval::run) per batch.
 #[derive(Debug, Clone)]

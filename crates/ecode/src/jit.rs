@@ -139,7 +139,7 @@ pub(crate) struct Block {
 
 /// A program lowered to a graph of per-block closures. Built once at
 /// [`Instance::new`](crate::Instance::new) behind an `Arc` (instances
-/// clone into digest-plane worker threads), immutable thereafter.
+/// clone cheaply), immutable thereafter.
 pub struct CompiledProgram {
     pub(crate) blocks: Vec<Block>,
     /// Original pc → block index (`u32::MAX` where no block starts);

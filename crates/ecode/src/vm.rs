@@ -497,8 +497,8 @@ pub struct Instance {
     orig2fast: Vec<u32>,
     /// The closure-compiled tier, when the program fit the
     /// [`jit::CompileBudget`] — `None` means every run uses the fused
-    /// VM. Shared via `Arc` so cloning an instance into digest-plane
-    /// replicas doesn't recompile.
+    /// VM. Shared via `Arc` so cloning an instance (a digest replica,
+    /// a merged snapshot) doesn't recompile.
     compiled: Option<Arc<jit::CompiledProgram>>,
     stack: Vec<i64>,
     locals: Vec<i64>,
@@ -867,8 +867,8 @@ impl Instance {
     /// the per-call setup (input marshalling, arena resets, driver
     /// entry) is hoisted out of the row loop, which is where a scalar
     /// call spends a large fraction of its time on small CPAs. Hot
-    /// ingest paths that already hold columnar batches (the GPA digest
-    /// plane, the bench rings) use this; one-event-at-a-time hosts keep
+    /// ingest paths that already hold batches of rows (the bench rings)
+    /// use this; one-event-at-a-time hosts keep
     /// calling `run_raw`.
     ///
     /// # Errors

@@ -6,57 +6,40 @@
 //! every ingested record — unlike a subscription [`Filter`](crate::Hub),
 //! which resets its statics per record. When the verifier proves every
 //! static shard-safe ([`MergePlan::fully_mergeable`]), the digest runs
-//! as `shards` independent replicas, each owned by a dedicated worker
-//! thread (see [`plane`]); records are dispatched by a deterministic
-//! FNV-1a hash of their flow key into per-shard *columnar batches*
-//! (one column of raw input bits per program input), and the workers
-//! evaluate whole batches at a time — vectorized via
-//! [`ecode::BatchEval`] when the program admits it, scalar otherwise.
-//! [`ShardedDigest::merged`] quiesces the workers (flush + drain
-//! barrier) and folds the replicas into the exact statics a single
-//! sequential instance would hold. Programs with any
-//! `Opaque`/`LastWriteWins` slot silently fall back to one inline
-//! instance — no threads, no batching, no flow-key hashing —
-//! correctness never depends on the caller checking the plan first.
+//! as `shards` independent replicas; records are placed by a
+//! deterministic FNV-1a hash of their flow key. Everything runs inline
+//! on the caller's thread. Each replica buffers its pending records as
+//! *columns* (one column of raw input bits per input the program
+//! reads), and a full buffer runs through one [`ecode::BatchEval`]
+//! shared by all replicas. Programs the batch compiler rejects (any
+//! non-mergeable static, a division by an input) run every record
+//! immediately through the scalar VM instead; non-mergeable programs
+//! also collapse to one replica, so correctness never depends on the
+//! caller checking the plan first.
 //!
-//! Why thread scheduling cannot leak into results: batches reach each
-//! shard in ingest order over a FIFO channel, each shard's statics
-//! evolve only from its own stream, and the fold algebra is proven
-//! order-insensitive per slot — so the only nondeterminism threads add
-//! (who runs when) is invisible to the folded statics. DESIGN.md §11
-//! develops the full argument.
+//! Reads ([`ShardedDigest::merged`], [`ShardedDigest::merged_global`],
+//! [`ShardedDigest::stats`]) are the only barrier: they evaluate the
+//! pending rows, then fold the replicas into the exact statics a single
+//! sequential instance would hold. DESIGN.md §11 has the argument.
 
-mod plane;
+use std::cell::{Ref, RefCell};
 
-use std::cell::RefCell;
-
-use ecode::{Instance, MergeError, MergePlan, Type, Value as EValue, VerifyLimits, VerifyReport};
+use ecode::{
+    BatchEval, Instance, MergeError, MergePlan, Type, Value as EValue, VerifyLimits, VerifyReport,
+};
 use pbio::{FieldType, Schema, Value};
 
 use crate::PubSubError;
-use plane::Plane;
 
 /// Worst-case fuel a digest program may cost per record. Same budget as
 /// subscription filters: digests run on the GPA's ingest path, which is
 /// hot for exactly the same reason the publish path is.
 pub const DIGEST_FUEL_BUDGET: u64 = 10_000;
 
-/// Tuning knobs for the parallel digest plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DigestConfig {
-    /// Records buffered per shard before the batch ships to its worker.
-    /// The default amortizes worker wake-ups and dispatch overhead
-    /// across ~4k rows while keeping per-shard columns comfortably
-    /// inside L2; sizes past ~16k rows spill the builders out of cache
-    /// and cost more than the wake-ups they save.
-    pub flush_rows: usize,
-}
-
-impl Default for DigestConfig {
-    fn default() -> Self {
-        DigestConfig { flush_rows: 4096 }
-    }
-}
+/// Rows a replica buffers before they run through the batch evaluator.
+/// Large enough to amortize the evaluator's per-op dispatch; small
+/// enough that a replica's columns stay cache-resident.
+const BATCH_ROWS: usize = 4096;
 
 /// Evaluation statistics, for overhead accounting and tests.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -81,20 +64,99 @@ pub struct DigestStats {
     pub aborted: u64,
 }
 
-/// The evaluation engine behind a digest.
-enum Engine {
-    /// One inline replica, evaluated on the caller's thread with the
-    /// scalar VM. Used for `shards == 1` and for non-mergeable
-    /// programs; pays no flow-key hash, no batching, no channels.
-    Single {
-        inst: Instance,
-        events: u64,
-        fuel_spent: u64,
-        aborted: u64,
-    },
-    /// K worker threads fed columnar batches. Behind a `RefCell` so
-    /// `&self` accessors (`merged`, `stats`) can run drain barriers.
-    Parallel(RefCell<Plane>),
+/// One shard replica: its instance plus the rows it has not evaluated
+/// yet.
+struct Replica {
+    inst: Instance,
+    /// Pending rows, structure-of-arrays in one flat allocation: the
+    /// `j`-th used input occupies `pending[j * BATCH_ROWS..][..rows]`.
+    /// Empty when the digest evaluates on the scalar VM.
+    pending: Vec<i64>,
+    rows: usize,
+    events: u64,
+}
+
+/// The replicas and the evaluator they share.
+struct Replicas {
+    shards: Vec<Replica>,
+    /// `None` when the program does not vectorize: rows then run
+    /// through the scalar VM as they arrive.
+    batch: Option<BatchEval>,
+    /// Indices of the record fields that are program inputs, in input
+    /// order.
+    field_indices: Vec<usize>,
+    /// `(input position, schema field index)` of every input the
+    /// program reads. Only these columns are buffered.
+    used: Vec<(usize, usize)>,
+    /// Statically proven worst-case fuel per evaluation.
+    fuel_bound: u64,
+    /// Reusable program-input-ordered row for the scalar VM.
+    row: Vec<i64>,
+    fuel_spent: u64,
+    aborted: u64,
+}
+
+impl Replicas {
+    /// Feeds `rows[i * stride..][..stride]` (a full schema row) to
+    /// replica `shard_ids[i]`.
+    fn ingest(&mut self, shard_ids: impl Iterator<Item = usize>, rows: &[i64], stride: usize) {
+        let rows = shard_ids.zip(rows.chunks_exact(stride));
+        if self.batch.is_none() {
+            for (s, row) in rows {
+                self.row.clear();
+                self.row.extend(self.field_indices.iter().map(|&i| row[i]));
+                let rep = &mut self.shards[s];
+                rep.events += 1;
+                // Statics persist across records: that is the point of
+                // a digest. A runtime trap (an input-dependent division
+                // by zero, say) leaves them partially updated, exactly
+                // as it would a sequential instance.
+                match rep.inst.run_raw(&self.row, self.fuel_bound) {
+                    Ok(out) => self.fuel_spent += out.fuel_used,
+                    Err(_) => {
+                        self.aborted += 1;
+                        self.fuel_spent += self.fuel_bound;
+                    }
+                }
+            }
+            return;
+        }
+        for (s, row) in rows {
+            let rep = &mut self.shards[s];
+            let mut slot = rep.rows;
+            for &(_, field) in &self.used {
+                rep.pending[slot] = row[field];
+                slot += BATCH_ROWS;
+            }
+            rep.rows += 1;
+            rep.events += 1;
+            if rep.rows == BATCH_ROWS {
+                self.eval_pending(s);
+            }
+        }
+    }
+
+    /// Runs replica `s`'s pending rows through the shared evaluator.
+    fn eval_pending(&mut self, s: usize) {
+        let Some(batch) = &mut self.batch else { return };
+        let Replica {
+            inst,
+            pending,
+            rows,
+            ..
+        } = &mut self.shards[s];
+        if *rows == 0 {
+            return;
+        }
+        // Unread inputs get an empty column; the evaluator never
+        // touches them.
+        let mut cols: Vec<&[i64]> = vec![&[]; self.field_indices.len()];
+        for (j, &(input, _)) in self.used.iter().enumerate() {
+            cols[input] = &pending[j * BATCH_ROWS..][..*rows];
+        }
+        self.fuel_spent += batch.run(inst, &cols, *rows);
+        *rows = 0;
+    }
 }
 
 /// A compiled digest program running as one or more shard replicas.
@@ -105,24 +167,16 @@ enum Engine {
 pub struct ShardedDigest {
     program: ecode::Program,
     plan: MergePlan,
-    engine: Engine,
     requested_shards: usize,
     n_schema_fields: usize,
-    /// Indices of the record fields that are program inputs, in input order.
-    field_indices: Vec<usize>,
-    /// Reusable program-input-ordered scratch row.
-    raw_row: Vec<i64>,
-    /// Statically proven worst-case fuel per evaluation.
-    fuel_bound: u64,
-    /// Execution tier every replica runs on. Tier selection is a pure
-    /// function of the program, so one probe at compile time speaks for
-    /// all shards (including the parallel plane's worker-local replicas).
-    tier: ecode::ExecTier,
     skipped: u64,
+    /// Behind a `RefCell` because reads take `&self` yet must evaluate
+    /// pending rows first.
+    replicas: RefCell<Replicas>,
     /// Lazily computed fold of the replicas, invalidated on ingest.
     /// `merged()`/`merged_global()` sit on the stats/query path and are
-    /// typically called several times between ingests; one fold (and,
-    /// for the parallel engine, one drain barrier) serves them all.
+    /// typically called several times between ingests; one fold serves
+    /// them all.
     merged_cache: RefCell<Option<Instance>>,
 }
 
@@ -150,8 +204,7 @@ fn place(h: u64, n: usize) -> usize {
 }
 
 impl ShardedDigest {
-    /// Compiles `src` against `schema` and provisions replicas with the
-    /// default [`DigestConfig`].
+    /// Compiles `src` against `schema` and provisions replicas.
     ///
     /// `shards` is the *requested* replica count; the digest actually
     /// shards only when the verifier proves every static shard-safe.
@@ -161,16 +214,6 @@ impl ShardedDigest {
         src: &str,
         schema: &Schema,
         shards: usize,
-    ) -> Result<ShardedDigest, PubSubError> {
-        Self::compile_with(src, schema, shards, DigestConfig::default())
-    }
-
-    /// [`compile`](ShardedDigest::compile) with explicit plane tuning.
-    pub fn compile_with(
-        src: &str,
-        schema: &Schema,
-        shards: usize,
-        config: DigestConfig,
     ) -> Result<ShardedDigest, PubSubError> {
         let mut inputs: Vec<(&str, Type)> = Vec::new();
         let mut field_indices = Vec::new();
@@ -196,35 +239,48 @@ impl ShardedDigest {
             merge_plan,
             ..
         } = report;
-        let tier = Instance::new(&program).tier();
-        let engine = if shards > 1 && merge_plan.fully_mergeable() {
-            Engine::Parallel(RefCell::new(Plane::spawn(
-                &program,
-                &merge_plan,
-                fuel_bound,
-                &field_indices,
-                shards,
-                config.flush_rows.max(1),
-            )))
+        let n = if merge_plan.fully_mergeable() {
+            shards.max(1)
         } else {
-            Engine::Single {
-                inst: Instance::new(&program),
-                events: 0,
-                fuel_spent: 0,
-                aborted: 0,
-            }
+            1
+        };
+        let batch = BatchEval::try_compile(&program, &merge_plan, fuel_bound);
+        let used_inputs = program.used_inputs();
+        let used: Vec<(usize, usize)> = field_indices
+            .iter()
+            .enumerate()
+            .filter(|(input, _)| used_inputs[*input])
+            .map(|(input, &field)| (input, field))
+            .collect();
+        let buffer = if batch.is_some() {
+            used.len() * BATCH_ROWS
+        } else {
+            0
+        };
+        let replicas = Replicas {
+            shards: (0..n)
+                .map(|_| Replica {
+                    inst: Instance::new(&program),
+                    pending: vec![0; buffer],
+                    rows: 0,
+                    events: 0,
+                })
+                .collect(),
+            batch,
+            field_indices,
+            used,
+            fuel_bound,
+            row: Vec::new(),
+            fuel_spent: 0,
+            aborted: 0,
         };
         Ok(ShardedDigest {
             program,
             plan: merge_plan,
-            engine,
             requested_shards: shards,
             n_schema_fields: schema.fields().len(),
-            field_indices,
-            raw_row: Vec::new(),
-            fuel_bound,
-            tier,
             skipped: 0,
+            replicas: RefCell::new(replicas),
             merged_cache: RefCell::new(None),
         })
     }
@@ -236,10 +292,7 @@ impl ShardedDigest {
 
     /// Number of replicas actually running.
     pub fn shard_count(&self) -> usize {
-        match &self.engine {
-            Engine::Single { .. } => 1,
-            Engine::Parallel(p) => p.borrow().shards(),
-        }
+        self.replicas.borrow().shards.len()
     }
 
     /// The shard-safety classification the replica count was decided by.
@@ -249,23 +302,22 @@ impl ShardedDigest {
 
     /// Statically proven worst-case fuel per record.
     pub fn fuel_bound(&self) -> u64 {
-        self.fuel_bound
+        self.replicas.borrow().fuel_bound
     }
 
-    /// The execution tier every replica runs on — `Compiled` when the
+    /// The execution tier the scalar VM runs on — `Compiled` when the
     /// program passed the [`ecode::CompileBudget`] heuristic, `Fused`
-    /// otherwise. Per-shard replicas all make the same (deterministic)
-    /// choice, and the tiers are observably identical, so `merge_from`
-    /// folds stay bit-identical regardless of tier.
+    /// otherwise. Every replica makes the same (deterministic) choice,
+    /// and the tiers are observably identical, so `merge_from` folds
+    /// stay bit-identical regardless of tier.
     pub fn tier(&self) -> ecode::ExecTier {
-        self.tier
+        self.replicas.borrow().shards[0].inst.tier()
     }
 
     /// Which shard a flow key lands on. Deterministic: identical across
     /// runs and shard-local (a flow's records always meet the same
-    /// replica, so per-flow sequential semantics are preserved). The
-    /// single-replica engine never hashes — one shard needs no
-    /// placement.
+    /// replica, so per-flow sequential semantics are preserved). A
+    /// single replica never hashes — one shard needs no placement.
     pub fn shard_of(&self, key: u64) -> usize {
         match self.shard_count() {
             1 => 0,
@@ -274,15 +326,12 @@ impl ShardedDigest {
     }
 
     /// Feeds one record (dispatched by `key`) to its shard's replica.
-    ///
-    /// The parallel engine buffers the record into a columnar batch;
-    /// effects become observable at the next barrier
-    /// ([`merged`](ShardedDigest::merged) / [`stats`](ShardedDigest::stats)),
-    /// which is where batches are flushed and workers quiesced.
+    /// Effects become observable at the next read
+    /// ([`merged`](ShardedDigest::merged) / [`stats`](ShardedDigest::stats)).
     pub fn ingest(&mut self, key: u64, values: &[Value]) {
-        self.raw_row.clear();
-        for &i in &self.field_indices {
-            let v = match values.get(i) {
+        let mut row = vec![0; self.n_schema_fields];
+        for &i in &self.replicas.get_mut().field_indices {
+            row[i] = match values.get(i) {
                 Some(Value::U64(v)) => *v as i64,
                 Some(Value::I64(v)) => *v,
                 Some(Value::F64(v)) => v.to_bits() as i64,
@@ -294,30 +343,8 @@ impl ShardedDigest {
                     return;
                 }
             };
-            self.raw_row.push(v);
         }
-        // The replicas' statics are about to change; drop the stale fold.
-        self.merged_cache.get_mut().take();
-        match &mut self.engine {
-            Engine::Single {
-                inst,
-                events,
-                fuel_spent,
-                aborted,
-            } => run_single(
-                inst,
-                &self.raw_row,
-                self.fuel_bound,
-                events,
-                fuel_spent,
-                aborted,
-            ),
-            Engine::Parallel(p) => {
-                let p = p.get_mut();
-                let shard = place(fnv1a(key), p.shards());
-                p.ingest_mapped(shard, &self.raw_row);
-            }
-        }
+        self.ingest_raw(key, &row);
     }
 
     /// Hot-path ingest: `row` holds one raw `i64` per schema field, in
@@ -328,47 +355,14 @@ impl ShardedDigest {
     /// contract, which record types like `InteractionRecord::to_raw_row`
     /// satisfy by construction.
     pub fn ingest_raw(&mut self, key: u64, row: &[i64]) {
-        if row.len() != self.n_schema_fields {
-            self.skipped += 1;
-            return;
-        }
-        self.merged_cache.get_mut().take();
-        match &mut self.engine {
-            Engine::Single {
-                inst,
-                events,
-                fuel_spent,
-                aborted,
-            } => {
-                self.raw_row.clear();
-                for &i in &self.field_indices {
-                    self.raw_row.push(row[i]);
-                }
-                run_single(
-                    inst,
-                    &self.raw_row,
-                    self.fuel_bound,
-                    events,
-                    fuel_spent,
-                    aborted,
-                );
-            }
-            Engine::Parallel(p) => {
-                let p = p.get_mut();
-                let shard = place(fnv1a(key), p.shards());
-                p.ingest_row(shard, row);
-            }
-        }
+        self.ingest_raw_rows(std::slice::from_ref(&key), row);
     }
 
     /// Batch form of [`ingest_raw`](ShardedDigest::ingest_raw):
     /// `keys[i]` dispatches the row at `rows[i * stride..][..stride]`
-    /// where `stride` is the schema field count. This is the digest
-    /// plane's preferred entry point: shard placement hashes run as a
-    /// pre-pass over the contiguous key slice — the FNV-1a rounds of
-    /// different keys overlap in flight instead of serializing behind
-    /// one record's dispatch — and the per-call bookkeeping (cache
-    /// invalidation, engine dispatch) is paid once per batch.
+    /// where `stride` is the schema field count. The per-call
+    /// bookkeeping (arity check, cache invalidation) is paid once per
+    /// batch.
     ///
     /// A `rows` length that is not `keys.len() * stride` skips the
     /// whole call (counted per record), mirroring the per-record
@@ -382,162 +376,79 @@ impl ShardedDigest {
         if keys.is_empty() {
             return;
         }
+        // The replicas' statics are about to change; drop the stale fold.
         self.merged_cache.get_mut().take();
-        match &mut self.engine {
-            Engine::Single {
-                inst,
-                events,
-                fuel_spent,
-                aborted,
-            } => {
-                for row in rows.chunks_exact(stride) {
-                    self.raw_row.clear();
-                    for &i in &self.field_indices {
-                        self.raw_row.push(row[i]);
-                    }
-                    run_single(
-                        inst,
-                        &self.raw_row,
-                        self.fuel_bound,
-                        events,
-                        fuel_spent,
-                        aborted,
-                    );
-                }
-            }
-            Engine::Parallel(p) => p.get_mut().ingest_rows(keys, rows, stride),
+        let replicas = self.replicas.get_mut();
+        match replicas.shards.len() {
+            1 => replicas.ingest(std::iter::repeat(0), rows, stride),
+            n => replicas.ingest(keys.iter().map(|&k| place(fnv1a(k), n)), rows, stride),
         }
     }
 
-    /// Ships any partially-filled per-shard batches to the workers
-    /// without waiting for them to be evaluated. Hosts call this at
-    /// report boundaries (the plane's "time threshold" — the simulator
-    /// has no wall clock) so records do not linger in builders between
-    /// barriers. No-op for the single-replica engine.
-    pub fn flush(&mut self) {
-        if let Engine::Parallel(p) = &mut self.engine {
-            p.get_mut().flush_all();
+    /// The replicas with every pending row evaluated.
+    fn settled(&self) -> Ref<'_, Replicas> {
+        {
+            let mut replicas = self.replicas.borrow_mut();
+            for s in 0..replicas.shards.len() {
+                replicas.eval_pending(s);
+            }
         }
+        self.replicas.borrow()
     }
 
     /// Folds every replica's statics into a fresh instance per the plan.
     ///
-    /// For the parallel engine this is a *drain barrier*: partial
-    /// batches are flushed, every worker answers a FIFO drain message,
-    /// and the snapshots are folded in shard order. A fresh instance
-    /// (statics at their declared initial values) is the identity
-    /// element of each shard-safe fold, so folding shards into it
-    /// yields exactly the sequential statics. With one replica this
-    /// degenerates to a copy, so the accessor works uniformly for
-    /// fallback digests too.
+    /// Pending rows are evaluated first. A fresh instance (statics at
+    /// their declared initial values) is the identity element of each
+    /// shard-safe fold, so folding shards into it yields exactly the
+    /// sequential statics. With one replica this degenerates to a copy,
+    /// so the accessor works uniformly for fallback digests too.
     pub fn merged(&self) -> Result<Instance, MergeError> {
-        if let Engine::Single { inst, .. } = &self.engine {
-            // Fallback digests may hold non-mergeable plans; a single
-            // replica needs no folding.
-            return Ok(inst.clone());
-        }
-        self.ensure_merged()?;
-        Ok(self
-            .merged_cache
-            .borrow()
-            .as_ref()
-            .expect("ensure_merged filled the cache")
-            .clone())
-    }
-
-    /// Runs the drain-and-fold into the cache unless it is already fresh.
-    fn ensure_merged(&self) -> Result<(), MergeError> {
-        if self.merged_cache.borrow().is_some() {
-            return Ok(());
-        }
-        let Engine::Parallel(p) = &self.engine else {
-            return Ok(());
-        };
-        let snapshots = p.borrow_mut().drain();
-        let mut acc = Instance::new(&self.program);
-        for snap in &snapshots {
-            acc.merge_from(&snap.inst, &self.plan)?;
-        }
-        *self.merged_cache.borrow_mut() = Some(acc);
-        Ok(())
+        self.read(Instance::clone)
     }
 
     /// Reads a static variable of the *merged* state by name. Repeated
-    /// reads between ingests share one drain + fold via the cache.
+    /// reads between ingests share one fold via the cache.
     pub fn merged_global(&self, name: &str) -> Option<EValue> {
-        if let Engine::Single { inst, .. } = &self.engine {
-            return inst.global(name);
-        }
-        self.ensure_merged().ok()?;
-        self.merged_cache.borrow().as_ref()?.global(name)
+        self.read(|merged| merged.global(name)).ok()?
     }
 
-    /// Current evaluation statistics. For the parallel engine this is a
-    /// drain barrier (fuel and abort counts live in the workers).
-    pub fn stats(&self) -> DigestStats {
-        match &self.engine {
-            Engine::Single {
-                events,
-                fuel_spent,
-                aborted,
-                ..
-            } => DigestStats {
-                requested_shards: self.requested_shards,
-                shards: 1,
-                sharded: false,
-                events: *events,
-                per_shard_events: vec![*events],
-                skipped: self.skipped,
-                fuel_spent: *fuel_spent,
-                aborted: *aborted,
-            },
-            Engine::Parallel(p) => {
-                let mut p = p.borrow_mut();
-                let snapshots = p.drain();
-                DigestStats {
-                    requested_shards: self.requested_shards,
-                    shards: p.shards(),
-                    sharded: true,
-                    events: p.per_shard_events.iter().sum(),
-                    per_shard_events: p.per_shard_events.clone(),
-                    skipped: self.skipped,
-                    fuel_spent: snapshots.iter().map(|s| s.fuel_spent).sum(),
-                    aborted: snapshots.iter().map(|s| s.aborted).sum(),
-                }
+    /// Applies `f` to the merged state, folding into the cache unless
+    /// it is already fresh.
+    fn read<T>(&self, f: impl FnOnce(&Instance) -> T) -> Result<T, MergeError> {
+        let replicas = self.settled();
+        if let [only] = replicas.shards.as_slice() {
+            // Fallback digests may hold non-mergeable plans; a single
+            // replica needs no folding.
+            return Ok(f(&only.inst));
+        }
+        let mut cache = self.merged_cache.borrow_mut();
+        if cache.is_none() {
+            let mut acc = Instance::new(&self.program);
+            for rep in &replicas.shards {
+                acc.merge_from(&rep.inst, &self.plan)?;
             }
+            *cache = Some(acc);
         }
+        Ok(f(cache.as_ref().expect("folded above")))
     }
 
-    /// Test hook: make one worker panic to exercise propagation.
-    #[cfg(test)]
-    fn inject_panic(&mut self, shard: usize) {
-        if let Engine::Parallel(p) = &mut self.engine {
-            p.get_mut().inject_panic(shard);
+    /// Current evaluation statistics; pending rows are evaluated first
+    /// so fuel is exact.
+    pub fn stats(&self) -> DigestStats {
+        let replicas = self.settled();
+        let per_shard_events: Vec<u64> = replicas.shards.iter().map(|r| r.events).collect();
+        DigestStats {
+            requested_shards: self.requested_shards,
+            shards: per_shard_events.len(),
+            sharded: per_shard_events.len() > 1,
+            events: per_shard_events.iter().sum(),
+            per_shard_events,
+            skipped: self.skipped,
+            fuel_spent: replicas.fuel_spent,
+            aborted: replicas.aborted,
         }
     }
-}
-
-/// Inline scalar evaluation for the single-replica engine.
-fn run_single(
-    inst: &mut Instance,
-    row: &[i64],
-    fuel_bound: u64,
-    events: &mut u64,
-    fuel_spent: &mut u64,
-    aborted: &mut u64,
-) {
-    // Statics persist across records — that is the point of a digest.
-    match inst.run_raw(row, fuel_bound) {
-        Ok(out) => *fuel_spent += out.fuel_used,
-        Err(_) => {
-            // A runtime trap (input-dependent division by zero, say)
-            // leaves the statics partially updated, just as it would a
-            // sequential instance.
-            *aborted += 1;
-            *fuel_spent += fuel_bound;
-        }
-    }
-    *events += 1;
 }
 
 #[cfg(test)]
@@ -573,8 +484,8 @@ mod tests {
         assert!(!seq.is_sharded());
         assert!(sharded.is_sharded());
         assert_eq!(sharded.shard_count(), 4);
-        // Both engines must agree on the (deterministic) execution tier,
-        // and the canonical mergeable digest fits the default budget.
+        // Every replica count must agree on the (deterministic) execution
+        // tier, and the canonical mergeable digest fits the default budget.
         assert_eq!(seq.tier(), ecode::ExecTier::Compiled);
         assert_eq!(sharded.tier(), seq.tier());
 
@@ -665,12 +576,12 @@ mod tests {
 
     /// Division by a record field bails the batch vectorizer (a zero
     /// lane would have to trap mid-batch), but the accumulator is still
-    /// sum-mergeable — so this program runs sharded with every worker
-    /// on the scalar-VM fallback. The fold must stay bit-exact with
-    /// sequential, and a genuinely trapping record must surface in
-    /// `aborted` identically on both engines.
+    /// sum-mergeable — so this program runs sharded with every replica
+    /// on the scalar VM. The fold must stay bit-exact with sequential,
+    /// and a genuinely trapping record must surface in `aborted`
+    /// identically at every shard count.
     #[test]
-    fn non_vectorizable_digest_uses_worker_scalar_fallback() {
+    fn non_vectorizable_digest_uses_scalar_fallback() {
         let src = "
             static int ratio_sum = 0;
             ratio_sum = ratio_sum + size / port;
@@ -696,101 +607,78 @@ mod tests {
         assert_eq!(s1.fuel_spent, s2.fuel_spent, "abort accounting is exact");
     }
 
-    // ---------------------------------------------------------------
-    // Worker lifecycle
-    // ---------------------------------------------------------------
-
-    /// Records buffered below the flush threshold must still be visible
-    /// through a merge: `merged()` is a flush + drain barrier.
+    /// Records buffered below a full batch must still be visible to a
+    /// read: every read evaluates the pending rows first.
     #[test]
-    fn merge_drains_partial_batches() {
-        let mut d =
-            ShardedDigest::compile_with(MERGEABLE, &schema(), 4, DigestConfig { flush_rows: 4096 })
-                .unwrap();
+    fn read_evaluates_pending_rows() {
+        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
         for i in 0..17u64 {
             d.ingest_raw(i, &[10, 80]);
         }
         assert_eq!(d.merged_global("count"), Some(EValue::Int(17)));
         let stats = d.stats();
         assert_eq!(stats.events, 17);
-        assert!(stats.fuel_spent > 0, "drain must surface worker fuel");
-    }
-
-    /// Dropping a sharded digest with buffered records and live workers
-    /// must terminate promptly (channels close, workers join).
-    #[test]
-    fn drop_shuts_workers_down_cleanly() {
-        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 8).unwrap();
-        for i in 0..100u64 {
-            d.ingest_raw(i, &[i as i64, 80]);
-        }
-        drop(d); // must not hang or leak threads
-    }
-
-    /// A panicking worker must surface at the next barrier as a panic
-    /// carrying the worker's payload — never a hung fold.
-    #[test]
-    fn worker_panic_propagates_to_merge() {
-        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
-        for i in 0..8u64 {
-            d.ingest_raw(i, &[1, 80]);
-        }
-        d.inject_panic(2);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| d.merged()))
-            .expect_err("merge after a worker panic must panic, not hang");
-        let msg = err
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| err.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(
-            msg.contains("poisoned"),
-            "payload should be the worker's: {msg}"
-        );
-        // The digest is broken but must still drop without aborting.
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(d)));
-    }
-
-    /// A panicking worker surfaces at drop too (propagated, not lost),
-    /// when no barrier runs first.
-    #[test]
-    fn worker_panic_propagates_at_drop() {
-        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), 4).unwrap();
-        d.ingest_raw(1, &[1, 80]);
-        d.inject_panic(0);
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || drop(d)))
-            .expect_err("drop must re-raise the worker panic");
-        drop(err);
+        assert!(stats.fuel_spent > 0, "a read must surface pending fuel");
     }
 
     // ---------------------------------------------------------------
-    // Parallel ≡ sequential (property)
+    // Batched ≡ scalar (differential)
     // ---------------------------------------------------------------
 
-    /// One digest per (shards, flush_rows) configuration, same stream,
-    /// same statics — regardless of batch boundaries and scheduling.
-    fn assert_stream_invariant(records: &[(u64, i64, i64)], shards: usize, flush_rows: usize) {
-        let schema = schema();
-        let mut seq = ShardedDigest::compile(MERGEABLE, &schema, 1).unwrap();
-        let mut par =
-            ShardedDigest::compile_with(MERGEABLE, &schema, shards, DigestConfig { flush_rows })
-                .unwrap();
-        for &(key, size, port) in records {
-            seq.ingest_raw(key, &[size, port]);
-            par.ingest_raw(key, &[size, port]);
+    /// Feeds `records` (`key, size, port, read`) to a `shards`-replica
+    /// digest and to a scalar `run_raw` oracle, reading the merged
+    /// statics after every record flagged `read`. Every read, and the
+    /// final statics and fuel, must match the oracle bit for bit — so
+    /// reads at arbitrary cuts of a partial buffer, and the fold cache
+    /// they fill, can never change what the digest computes.
+    fn assert_matches_scalar_oracle(records: &[(u64, i64, i64, bool)], shards: usize) {
+        let inputs = [("size", Type::Int), ("port", Type::Int)];
+        let limits = VerifyLimits::with_max_fuel(DIGEST_FUEL_BUDGET);
+        let (program, _) = ecode::verify(MERGEABLE, &inputs, &limits)
+            .unwrap()
+            .into_parts();
+        let mut oracle = Instance::new(&program);
+        let mut oracle_fuel = 0;
+        let mut d = ShardedDigest::compile(MERGEABLE, &schema(), shards).unwrap();
+        for (i, &(key, size, port, read)) in records.iter().enumerate() {
+            d.ingest_raw(key, &[size, port]);
+            let run = oracle.run_raw(&[size, port], d.fuel_bound()).unwrap();
+            oracle_fuel += run.fuel_used;
+            if read {
+                let ctx = format!("shards={shards} after record {i}");
+                assert_eq!(d.merged_global("count"), oracle.global("count"), "{ctx}");
+                assert_eq!(
+                    d.merged().unwrap().raw_globals(),
+                    oracle.raw_globals(),
+                    "{ctx}"
+                );
+            }
         }
-        let a = seq.merged().unwrap();
-        let b = par.merged().unwrap();
+        let ctx = format!("shards={shards} at the end");
         assert_eq!(
-            a.raw_globals(),
-            b.raw_globals(),
-            "shards={shards} flush_rows={flush_rows}"
+            d.merged().unwrap().raw_globals(),
+            oracle.raw_globals(),
+            "{ctx}"
         );
-        let (sa, sb) = (seq.stats(), par.stats());
-        assert_eq!(sa.events, sb.events);
-        assert_eq!(sa.fuel_spent, sb.fuel_spent, "fuel metering must be exact");
-        assert_eq!(sa.aborted, sb.aborted);
+        let stats = d.stats();
+        assert_eq!(stats.events, records.len() as u64);
+        assert_eq!(stats.fuel_spent, oracle_fuel, "fuel metering must be exact");
+        assert_eq!(stats.aborted, 0);
+    }
+
+    /// Streams longer than one batch evaluate full buffers mid-ingest;
+    /// reads land on both sides of those boundaries.
+    #[test]
+    fn full_batches_match_the_scalar_oracle() {
+        let records: Vec<(u64, i64, i64, bool)> = (0..3 * BATCH_ROWS as u64 + 17)
+            .map(|i| {
+                let read = i % 5000 == 4095 || i == 2 * BATCH_ROWS as u64;
+                (i % 97, (i * 131 % 7919) as i64, (i % 2000) as i64, read)
+            })
+            .collect();
+        for shards in [1, 3, 8] {
+            assert_matches_scalar_oracle(&records, shards);
+        }
     }
 
     #[allow(unused)] // a typecheck-only proptest elides macro bodies, orphaning these imports
@@ -799,17 +687,18 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            /// Parallel batched ingest ≡ sequential ingest on
-            /// `raw_globals`, for random record streams, shard counts,
-            /// and batch sizes (including 1: every record its own batch).
+            /// Batched ingest ≡ scalar evaluation on `raw_globals` and
+            /// fuel, for random record streams, shard counts, and read
+            /// points (each record is followed by a read with
+            /// probability 1/8).
             #[test]
-            fn prop_parallel_batched_equals_sequential(
+            fn prop_batched_with_random_reads_equals_scalar(
                 records in proptest::collection::vec(
-                    (0u64..64, 0i64..100_000, 0i64..10_000), 0..400),
-                shards in 2usize..9,
-                flush_rows in 1usize..130,
+                    (0u64..64, 0i64..100_000, 0i64..10_000, (0u8..8).prop_map(|r| r == 0)),
+                    0..400),
+                shards in 1usize..9,
             ) {
-                assert_stream_invariant(&records, shards, flush_rows);
+                assert_matches_scalar_oracle(&records, shards);
             }
         }
     }
