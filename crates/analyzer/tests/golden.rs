@@ -116,11 +116,17 @@ fn u0002_ptr_math_golden() {
 }
 
 #[test]
-fn u0002_is_silent_inside_the_vm() {
-    // The same pointer arithmetic is sanctioned in the VM interpreter.
+fn u0002_flags_the_vm_too() {
+    // No file is sanctioned for pointer arithmetic, the E-Code VM
+    // included.
     let src = include_str!("fixtures/u0002_ptr_math.rs");
     let diags = analyze_source(&PathBuf::from("crates/ecode/src/vm.rs"), src);
-    assert!(diags.iter().all(|d| d.code != "U0002"), "{diags:?}");
+    let lines: Vec<u32> = diags
+        .iter()
+        .filter(|d| d.code == "U0002")
+        .map(|d| d.line)
+        .collect();
+    assert_eq!(lines, vec![7, 12], "{diags:?}");
 }
 
 #[test]

@@ -5,6 +5,7 @@
 
 use std::path::PathBuf;
 
+use sysprof_analyzer::lexer::Tok;
 use sysprof_analyzer::{analyze_workspace, waiver};
 
 fn workspace_root() -> PathBuf {
@@ -73,12 +74,12 @@ fn scan_covers_the_scenario_library_and_it_is_clean() {
     }
 }
 
-/// The compiled execution tier runs inside the event hot path, where a
-/// determinism or hygiene slip would corrupt results silently — so its
-/// coverage is asserted explicitly, like the scenario library's: the
-/// jit module and the VM driver it plugs into are in the scan set, and
+/// Both E-Code execution tiers run inside the event hot path, where a
+/// determinism or hygiene slip would corrupt results silently — so
+/// their coverage is asserted explicitly, like the scenario library's:
+/// the jit module and the VM driver it plugs into are in the scan set,
 /// the jit analyzes clean on its own with no waiver absorbing a finding
-/// there.
+/// there, and no E-Code source contains `unsafe`.
 #[test]
 fn scan_covers_the_jit_and_it_is_clean() {
     let root = workspace_root();
@@ -94,11 +95,18 @@ fn scan_covers_the_jit_and_it_is_clean() {
     let src = std::fs::read_to_string(root.join(&rel)).unwrap();
     let diags = sysprof_analyzer::analyze_source(&rel, &src);
     assert!(diags.is_empty(), "findings in {rel:?}:\n{diags:#?}");
-    // The jit deliberately contains no unsafe code: the safe slice
-    // indexing is pre-proven by `validate`, and keeping the module safe
-    // means the per-op interpreter stays the only unsafe surface.
-    assert!(
-        !src.contains("unsafe "),
-        "ecode::jit grew unsafe code; move it behind the audited VM instead"
-    );
+    // E-Code deliberately contains no unsafe code (the crate forbids
+    // it): every index both tiers use is pre-proven by `validate`, so
+    // safe indexing costs only a predictable branch.
+    for rel in files.iter().filter(|p| p.starts_with("crates/ecode/src")) {
+        let src = std::fs::read_to_string(root.join(rel)).unwrap();
+        let lexed = sysprof_analyzer::lexer::lex(&src);
+        assert!(
+            !lexed
+                .toks
+                .iter()
+                .any(|t| matches!(&t.tok, Tok::Ident(id) if id == "unsafe")),
+            "{rel:?} grew unsafe code; E-Code has no sanctioned unsafe site"
+        );
+    }
 }

@@ -24,17 +24,18 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fused VM vs closure-compiled tier over the representative CPA set —
-/// the statistically careful companion to the `cpa_eval` arm of the
-/// `hotpath` binary (which records the committed baseline and gate).
+/// Reference interpreter vs closure-compiled tier over the
+/// representative CPA set — the statistically careful companion to the
+/// `cpa_eval` arm of the `hotpath` binary (which records the committed
+/// baseline and gate).
 fn bench_cpa_eval(c: &mut Criterion) {
     let mut g = c.benchmark_group("cpa_eval");
     g.throughput(Throughput::Elements(BLOCK));
     let stream = CpaEventStream::generate(0, BLOCK);
     for (name, src) in CPA_EVAL_SET {
-        for tier in [ecode::ExecTier::Fused, ecode::ExecTier::Compiled] {
+        for tier in [ecode::ExecTier::Interpreted, ecode::ExecTier::Compiled] {
             let label = match tier {
-                ecode::ExecTier::Fused => format!("{name}/fused"),
+                ecode::ExecTier::Interpreted => format!("{name}/reference"),
                 ecode::ExecTier::Compiled => format!("{name}/compiled"),
             };
             g.bench_function(&label, |b| {

@@ -47,13 +47,13 @@ struct CpaEvalBench {
     events: u64,
     /// Program names of the representative set, report order.
     programs: Vec<&'static str>,
-    /// Committed reference for `compiled_vs_fused` (the ≥2.0× gate).
-    baseline_compiled_vs_fused: f64,
-    fused_events_per_sec: f64,
+    /// Committed reference for `compiled_vs_reference` (the ≥3.5× gate).
+    baseline_compiled_vs_reference: f64,
+    reference_events_per_sec: f64,
     compiled_events_per_sec: f64,
-    /// Aggregate speedup over the set: total fused time / total
-    /// compiled time (best-of-5 per arm).
-    compiled_vs_fused: f64,
+    /// Aggregate speedup over the set: total reference-interpreter time
+    /// / total compiled time (best-of-5 per arm).
+    compiled_vs_reference: f64,
     /// Every rep's fingerprint (flags, out() fold, fuel, statics)
     /// matched between tiers.
     bit_identical: bool,
@@ -80,10 +80,12 @@ struct BenchReport {
 /// last committed. Full mode gates on it.
 const DIGEST_BASELINE: f64 = 28.0e6;
 
-/// Committed floor for `cpa_eval.compiled_vs_fused` on the
+/// Committed floor for `cpa_eval.compiled_vs_reference` on the
 /// representative CPA set (full mode gates on it; measured full runs
-/// land well above).
-const CPA_EVAL_BASELINE: f64 = 2.0;
+/// land well above). It is 2.0× the ≈1.75× the retired fused VM measured
+/// over the same reference interpreter, so it asks of the compiled tier
+/// what the old ≥2.0× compiled-vs-fused gate did.
+const CPA_EVAL_BASELINE: f64 = 3.5;
 
 struct Opts {
     smoke: bool,
@@ -96,7 +98,7 @@ struct Opts {
     /// Defaults to [`DIGEST_BASELINE`] for full runs; smoke runs gate
     /// only when asked.
     min_digest: Option<f64>,
-    /// Fail unless `cpa_eval.compiled_vs_fused` reaches this floor.
+    /// Fail unless `cpa_eval.compiled_vs_reference` reaches this floor.
     /// Defaults to [`CPA_EVAL_BASELINE`] for full runs; smoke runs gate
     /// only when asked.
     min_cpa: Option<f64>,
@@ -298,7 +300,8 @@ fn main() {
     }
 
     // Compiled-tier CPA evaluation: the representative CPA set run on
-    // the fused VM and on the closure-compiled tier over identical
+    // the reference interpreter and on the closure-compiled tier over
+    // identical
     // event windows. Instance creation (which includes the jit
     // lowering) and event-row synthesis both stay outside the timer —
     // installs are rare, rows come off the ring pre-formed, runs are
@@ -327,45 +330,48 @@ fn main() {
         (total, fps)
     };
     // Warm both tiers once before the timed reps.
-    let _ = run_set(ecode::ExecTier::Fused);
+    let _ = run_set(ecode::ExecTier::Interpreted);
     let _ = run_set(ecode::ExecTier::Compiled);
-    let mut fused_s = f64::INFINITY;
+    let mut reference_s = f64::INFINITY;
     let mut compiled_s = f64::INFINITY;
     let mut pinned: Option<Vec<CpaFingerprint>> = None;
     for _ in 0..5 {
-        let (fs, ffp) = run_set(ecode::ExecTier::Fused);
+        let (rs, rfp) = run_set(ecode::ExecTier::Interpreted);
         let (cs, cfp) = run_set(ecode::ExecTier::Compiled);
-        assert_eq!(ffp, cfp, "compiled tier fingerprint diverged from fused");
+        assert_eq!(
+            rfp, cfp,
+            "compiled tier fingerprint diverged from reference"
+        );
         if let Some(p) = &pinned {
-            assert_eq!(p, &ffp, "cpa_eval replay diverged across reps");
+            assert_eq!(p, &rfp, "cpa_eval replay diverged across reps");
         }
-        pinned = Some(ffp);
-        fused_s = fused_s.min(fs);
+        pinned = Some(rfp);
+        reference_s = reference_s.min(rs);
         compiled_s = compiled_s.min(cs);
     }
     let set_events = cpa_events * CPA_EVAL_SET.len() as u64;
     let cpa_eval = CpaEvalBench {
         events: cpa_events,
         programs: CPA_EVAL_SET.iter().map(|(name, _)| *name).collect(),
-        baseline_compiled_vs_fused: CPA_EVAL_BASELINE,
-        fused_events_per_sec: set_events as f64 / fused_s,
+        baseline_compiled_vs_reference: CPA_EVAL_BASELINE,
+        reference_events_per_sec: set_events as f64 / reference_s,
         compiled_events_per_sec: set_events as f64 / compiled_s,
-        compiled_vs_fused: fused_s / compiled_s,
+        compiled_vs_reference: reference_s / compiled_s,
         bit_identical: true, // asserted above; a divergence aborts the run
     };
     println!(
-        "  cpa eval: {} events x {} programs, fused {:.0}/s vs compiled {:.0}/s ({:.2}x), bit-identical",
+        "  cpa eval: {} events x {} programs, reference {:.0}/s vs compiled {:.0}/s ({:.2}x), bit-identical",
         cpa_eval.events,
         CPA_EVAL_SET.len(),
-        cpa_eval.fused_events_per_sec,
+        cpa_eval.reference_events_per_sec,
         cpa_eval.compiled_events_per_sec,
-        cpa_eval.compiled_vs_fused
+        cpa_eval.compiled_vs_reference
     );
     if let Some(floor) = opts.min_cpa {
         assert!(
-            cpa_eval.compiled_vs_fused >= floor,
-            "compiled-tier speedup {:.2}x over fused is below the {floor:.2}x floor",
-            cpa_eval.compiled_vs_fused
+            cpa_eval.compiled_vs_reference >= floor,
+            "compiled-tier speedup {:.2}x over the reference is below the {floor:.2}x floor",
+            cpa_eval.compiled_vs_reference
         );
     }
 

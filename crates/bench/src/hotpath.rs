@@ -178,10 +178,11 @@ pub fn pump_digest_stream(
         .to_vec()
 }
 
-/// E-Code input signature of a CPA — the same names, order, and types
+/// E-Code input signature of a CPA — the same order and types
 /// `CpaAnalyzer` marshals events into (see `core::cpa::EVENT_INPUTS`),
 /// so `cpa_eval` measures exactly the program shapes the event hot path
-/// runs.
+/// runs. The names match too, except the timestamp: `wall` here,
+/// `wall_us` in `CpaAnalyzer`.
 pub const CPA_EVENT_INPUTS: [(&str, ecode::Type); 7] = [
     ("kind", ecode::Type::Int),
     ("pid", ecode::Type::Int),
@@ -195,7 +196,7 @@ pub const CPA_EVENT_INPUTS: [(&str, ecode::Type); 7] = [
 /// The representative CPA set the `cpa_eval` bench arm measures: the
 /// hotpath pipeline's own ratio CPA, a gated counter with a
 /// short-circuit guard, and a min/max latency fold — one per hot
-/// analyzer idiom, all within the default `CompileBudget`.
+/// analyzer idiom.
 pub const CPA_EVAL_SET: [(&str, &str); 3] = [
     ("ratio", CPA_PROGRAM),
     (
@@ -307,8 +308,8 @@ impl CpaEventStream {
 /// and says nothing about the VM). Statics persist across reps —
 /// counters keep counting, exactly as a long-lived CPA would over a
 /// live ring. The caller picks the tier at instance creation
-/// (`Instance::new` vs `Instance::new_fused`); this loop is tier-blind
-/// — it is the timed body of both `cpa_eval` arms.
+/// (`Instance::new` vs `Instance::new_interpreted`); this loop is
+/// tier-blind — it is the timed body of both `cpa_eval` arms.
 pub fn pump_cpa(
     inst: &mut ecode::Instance,
     stream: &CpaEventStream,
@@ -343,13 +344,14 @@ pub fn pump_cpa(
 /// Compiles one [`CPA_EVAL_SET`] program and returns the instance for
 /// the requested tier plus its proven fuel bound. Panics if tier
 /// selection doesn't match the request — a representative CPA that
-/// stopped compiling would silently turn the bench into fused-vs-fused.
+/// stopped compiling would silently turn the bench into
+/// reference-vs-reference.
 pub fn cpa_eval_instance(src: &str, tier: ecode::ExecTier) -> (ecode::Instance, u64) {
     let program = ecode::Program::compile(src, &CPA_EVENT_INPUTS).expect("static CPA compiles");
     let fuel = program.static_fuel_bound();
     let inst = match tier {
         ecode::ExecTier::Compiled => ecode::Instance::new(&program),
-        ecode::ExecTier::Fused => ecode::Instance::new_fused(&program),
+        ecode::ExecTier::Interpreted => ecode::Instance::new_interpreted(&program),
     };
     assert_eq!(inst.tier(), tier, "tier selection changed for:\n{src}");
     (inst, fuel)
@@ -557,5 +559,36 @@ impl HotPipeline {
 impl Default for HotPipeline {
     fn default() -> Self {
         HotPipeline::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ecode::ExecTier;
+
+    /// Every program the bench (and the pipeline it measures) installs
+    /// must land on the compiled tier: a lowering regression would
+    /// otherwise fall silently to the interpreter, several times slower,
+    /// and every throughput figure would drift with it.
+    #[test]
+    fn bench_programs_take_the_compiled_tier() {
+        let cpa = CpaAnalyzer::compile("hotpath-cpa", CPA_PROGRAM, EventMask::NETWORK)
+            .expect("static program verifies");
+        assert_eq!(cpa.tier(), ExecTier::Compiled, "CPA_PROGRAM");
+        for (name, src) in CPA_EVAL_SET {
+            let program = ecode::Program::compile(src, &CPA_EVENT_INPUTS).expect("compiles");
+            assert_eq!(
+                ecode::Instance::new(&program).tier(),
+                ExecTier::Compiled,
+                "CPA_EVAL_SET entry {name}"
+            );
+        }
+        assert_eq!(
+            compile_digest(1).tier(),
+            ExecTier::Compiled,
+            "DIGEST_PROGRAM"
+        );
+        assert_eq!(HotPipeline::new().hub.filter_tiers(), (1, 0), "SUB_FILTER");
     }
 }

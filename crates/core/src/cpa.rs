@@ -151,9 +151,10 @@ impl CpaAnalyzer {
     }
 
     /// Which execution tier the program was installed on: `Compiled` when
-    /// it passed the [`ecode::CompileBudget`] heuristic and was lowered to
-    /// closures, `Fused` when it fell back to the fused VM. Either way the
-    /// observable behavior (globals, outputs, flags, fuel) is identical.
+    /// it was lowered to closures, `Interpreted` when the compiled tier
+    /// declined it and it runs on the per-op reference interpreter.
+    /// Either way the observable behavior (globals, outputs, flags,
+    /// fuel) is identical.
     pub fn tier(&self) -> ExecTier {
         self.instance.tier()
     }

@@ -1,9 +1,9 @@
 //! The compiled execution tier: closure-compiled basic blocks.
 //!
 //! The paper's CPAs were *natively* code-generated into the running
-//! kernel; the fused VM (superinstructions + block-granular fuel
-//! precharge) is the last interpreter tax on that path. This module
-//! removes it for the programs that matter: [`compile`] lowers
+//! kernel; an interpreter's per-op dispatch and fuel check is exactly
+//! the tax native code doesn't pay. This module removes it for the
+//! programs that matter: [`compile`] lowers
 //! already-validated bytecode into **one monomorphized Rust closure per
 //! basic block** — constant operands baked into the closure's captures,
 //! per-statement expression trees reconstructed from the stack code so a
@@ -14,11 +14,11 @@
 //! # Tier selection and fallback
 //!
 //! [`Instance::new`](crate::Instance::new) compiles every program that
-//! passes `validate()` and fits [`CompileBudget`]; anything else
-//! transparently falls back to the fused VM. The lowering itself also
+//! passes `validate()` and fits `LIMITS`; anything else transparently
+//! runs on the per-op reference interpreter. The lowering itself also
 //! bails (returns `None`) on shapes it cannot prove equivalent — an
 //! operand-stack residue at a store, or more cross-block stack carries
-//! than [`CompileBudget::max_carry`] — rather than guess.
+//! than `MAX_CARRY` — rather than guess.
 //!
 //! # Observable equivalence
 //!
@@ -26,18 +26,18 @@
 //! reference VM on every observable: return value, `fuel_used`, trap
 //! kind and partial statics at the trap point, and `out()` ordering.
 //! The driver ([`Instance::run`](crate::Instance::run) routes here when
-//! a program compiled) reuses the same `block_fuel` precharge as the
-//! fused VM, so fuel accounting is identical by construction; when the
-//! remaining budget cannot cover a block, the driver spills the carried
-//! stack values and executes that one block on the checked per-op
+//! a program compiled) precharges each block's original op count, so
+//! fuel accounting is identical by construction; when the remaining
+//! budget cannot cover a block, the driver spills the carried stack
+//! values and executes that one block on the checked per-op
 //! interpreter instead, preserving exact abort points. Within a block,
 //! expression trees evaluate in bytecode push order (left subtree, right
 //! subtree, operator), statements flush in program order, and values
 //! carried across block boundaries (short-circuit `&&`/`||` joins)
 //! evaluate before the branch condition — the same order the stack
 //! machine produced them. The generative sweeps in
-//! `tests/verifier.rs` assert this equivalence across all three tiers
-//! for hundreds of programs.
+//! `tests/verifier.rs` assert this equivalence between the compiled
+//! tier and the reference interpreter for hundreds of programs.
 
 use std::fmt;
 
@@ -51,31 +51,26 @@ use crate::EcodeError;
 /// allocation-free.
 pub(crate) const MAX_CARRY: usize = 4;
 
-/// Size heuristic gating the compiled tier. Programs beyond these
-/// bounds still run — on the fused VM — they just aren't worth the
+/// Size limits gating the compiled tier. Programs beyond them still
+/// run — on the reference interpreter — they just aren't worth the
 /// per-block closure graph (compile time and memory scale with block
 /// count, and CPAs installed on the event hot path are small by
 /// doctrine: the verifier already bounds their fuel).
-#[derive(Debug, Clone)]
-pub struct CompileBudget {
+pub(crate) struct Limits {
     /// Maximum basic blocks (entry points) to compile.
-    pub max_blocks: usize,
+    pub(crate) max_blocks: usize,
     /// Maximum bytecode length to consider compiling.
-    pub max_ops: usize,
-    /// Maximum cross-block stack carries (clamped to an internal cap of
-    /// 4; joins deeper than that fall back to the fused VM).
-    pub max_carry: usize,
+    pub(crate) max_ops: usize,
+    /// Maximum cross-block stack carries (clamped to [`MAX_CARRY`]).
+    pub(crate) max_carry: usize,
 }
 
-impl Default for CompileBudget {
-    fn default() -> Self {
-        CompileBudget {
-            max_blocks: 256,
-            max_ops: 4096,
-            max_carry: MAX_CARRY,
-        }
-    }
-}
+/// The limits [`Instance::new`](crate::Instance::new) compiles under.
+pub(crate) const LIMITS: Limits = Limits {
+    max_blocks: 256,
+    max_ops: 4096,
+    max_carry: MAX_CARRY,
+};
 
 /// Mutable run state a block closure executes against. Borrows the
 /// instance's reusable arenas, so a compiled run allocates nothing
@@ -117,7 +112,7 @@ type BlockFn = Box<dyn Fn(&mut Ctx<'_>, u64) -> (u64, Exit) + Send + Sync>;
 /// One compiled basic block: the closure plus the coordinates the
 /// driver needs for fuel precharge and the checked per-op fallback.
 pub(crate) struct Block {
-    /// Original-bytecode pc of the block entry (indexes `block_fuel`).
+    /// Original-bytecode pc of the block entry.
     pub(crate) entry_pc: u32,
     /// Operand-stack values this block consumes from `Ctx::carry`.
     pub(crate) carry_in: u8,
@@ -274,7 +269,7 @@ fn bits_of(v: f64) -> i64 {
 /// Evaluates an expression tree against the run state. All indices were
 /// proven in bounds by `validate` at instance creation, so the safe
 /// slice indexing below never panics (and the branch predictor eats the
-/// checks); this module deliberately contains no `unsafe`.
+/// checks); the crate forbids `unsafe`.
 fn eval(ex: &Ex, ctx: &Ctx<'_>) -> Result<i64, EcodeError> {
     Ok(match ex {
         Ex::Carry(i) => ctx.carry[*i as usize],
@@ -359,29 +354,28 @@ fn exec_step(s: &Step, ctx: &mut Ctx<'_>) -> Result<(), EcodeError> {
 }
 
 /// Lowers every reachable basic block of `program` and compiles each to
-/// a closure. Returns `None` when the program exceeds `budget` or a
+/// a closure. Returns `None` when the program exceeds `limits` or a
 /// block's stack discipline can't be proven statement-shaped — the
-/// caller falls back to the fused VM.
+/// caller falls back to the reference interpreter.
 ///
 /// `depth_at[pc]` is the operand-stack depth on entry to `pc` computed
 /// by `validate` (−1 = unreachable).
 pub(crate) fn compile(
     program: &Program,
     depth_at: &[i32],
-    budget: &CompileBudget,
+    limits: &Limits,
 ) -> Option<CompiledProgram> {
     let code = &program.code;
-    if code.len() > budget.max_ops {
+    if code.len() > limits.max_ops {
         return None;
     }
-    let max_carry = budget.max_carry.min(MAX_CARRY);
+    let max_carry = limits.max_carry.min(MAX_CARRY);
 
     // Block entries: program start, every jump target, and the
     // fall-through edge of every conditional branch — exactly the pcs
-    // where the fused VM's outer loop can land. Interior jump targets
-    // do not split a block: like the fused VM, a block runs from its
-    // entry through the next real terminator, and `block_fuel[entry]`
-    // covers that same span.
+    // where the interpreter's block loop can land. Interior jump targets
+    // do not split a block: like `exec_block_checked`, a block runs
+    // from its entry through the next real terminator.
     let mut entries: Vec<usize> = Vec::new();
     let mut seen = vec![false; code.len()];
     let mark = |pc: usize, entries: &mut Vec<usize>, seen: &mut Vec<bool>| {
@@ -405,7 +399,7 @@ pub(crate) fn compile(
         }
     }
     entries.sort_unstable();
-    if entries.len() > budget.max_blocks {
+    if entries.len() > limits.max_blocks {
         return None;
     }
     let mut pc2block = vec![u32::MAX; code.len()];
@@ -695,8 +689,7 @@ fn lower_block(code: &[Op], entry: usize, carry_in: usize, max_carry: usize) -> 
                     return None;
                 }
                 // `push 0; jump-if-false` is the `&&` false arm feeding
-                // an `if` — an unconditional jump, same fold the fused
-                // VM applies.
+                // an `if` — an unconditional jump.
                 let term = match cond {
                     Ex::ConstI(0) => Term::Jmp(t),
                     Ex::ConstI(_) => Term::Jmp(pc as u32),
@@ -919,7 +912,7 @@ enum ValK {
     /// 2⁶⁴) ≤ ⌊(2⁶⁴−1)/odd⌋. The epoch tests CPAs gate their reports
     /// on (`events % 1000 == 0`) hit this every event, and `idiv` is
     /// the single most expensive instruction the hot path would
-    /// otherwise retire; the fused VM can't do this because its
+    /// otherwise retire; the interpreter can't do this because its
     /// divisor is a stack operand, not a compile-time capture.
     DivC {
         g: u16,
@@ -1763,8 +1756,8 @@ mod tests {
     fn assert_tiers_agree(src: &str) {
         let p = program(src);
         let mut compiled = Instance::new(&p);
-        let mut fused = Instance::new_fused(&p);
-        assert_eq!(fused.tier(), ExecTier::Fused);
+        let mut reference = Instance::new_interpreted(&p);
+        assert_eq!(reference.tier(), ExecTier::Interpreted);
         for i in 0..50i64 {
             let inputs = [
                 Value::Int(i * 500 % 3000),
@@ -1773,11 +1766,11 @@ mod tests {
             let a = compiled
                 .run(&inputs, 1_000)
                 .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
-            let b = fused
+            let b = reference
                 .run(&inputs, 1_000)
                 .map(|o| (o.ret, o.fuel_used, o.outputs.to_vec()));
             assert_eq!(a, b, "tier divergence at event {i}");
-            assert_eq!(compiled.raw_globals(), fused.raw_globals());
+            assert_eq!(compiled.raw_globals(), reference.raw_globals());
         }
     }
 
@@ -1864,20 +1857,20 @@ mod tests {
     }
 
     #[test]
-    fn new_fused_opts_out_of_compilation() {
+    fn new_interpreted_opts_out_of_compilation() {
         let p = program(CPA_SRC);
-        assert_eq!(Instance::new_fused(&p).tier(), ExecTier::Fused);
+        assert_eq!(Instance::new_interpreted(&p).tier(), ExecTier::Interpreted);
     }
 
     #[test]
-    fn block_budget_exceeded_falls_back_to_fused() {
+    fn block_limit_exceeded_falls_back_to_interpreter() {
         let p = program(CPA_SRC);
-        let tiny = CompileBudget {
+        let tiny = Limits {
             max_blocks: 1,
-            ..CompileBudget::default()
+            ..LIMITS
         };
-        let mut inst = Instance::with_budget(&p, &tiny);
-        assert_eq!(inst.tier(), ExecTier::Fused);
+        let mut inst = Instance::with_limits(&p, &tiny);
+        assert_eq!(inst.tier(), ExecTier::Interpreted);
         // Fallback is transparent: the instance still runs correctly.
         let out = inst
             .run(&[Value::Int(1500), Value::Int(2049)], 1_000)
@@ -1886,30 +1879,33 @@ mod tests {
     }
 
     #[test]
-    fn op_budget_exceeded_falls_back_to_fused() {
+    fn op_limit_exceeded_falls_back_to_interpreter() {
         let p = program(CPA_SRC);
-        let tiny = CompileBudget {
+        let tiny = Limits {
             max_ops: 2,
-            ..CompileBudget::default()
+            ..LIMITS
         };
-        assert_eq!(Instance::with_budget(&p, &tiny).tier(), ExecTier::Fused);
+        assert_eq!(
+            Instance::with_limits(&p, &tiny).tier(),
+            ExecTier::Interpreted
+        );
     }
 
     #[test]
-    fn carry_budget_exceeded_falls_back_to_fused() {
+    fn carry_limit_exceeded_falls_back_to_interpreter() {
         // `port != 0 && size / port > 3` joins with one carried stack
-        // value, so a zero-carry budget cannot lower it.
+        // value, so a zero-carry limit cannot lower it.
         let src = "return port != 0 && size / port > 3;";
         let p = program(src);
-        let zero_carry = CompileBudget {
+        let zero_carry = Limits {
             max_carry: 0,
-            ..CompileBudget::default()
+            ..LIMITS
         };
         assert_eq!(
-            Instance::with_budget(&p, &zero_carry).tier(),
-            ExecTier::Fused
+            Instance::with_limits(&p, &zero_carry).tier(),
+            ExecTier::Interpreted
         );
-        // ... while the default budget takes it compiled, identically.
+        // ... while the default limits take it compiled, identically.
         assert_eq!(Instance::new(&p).tier(), ExecTier::Compiled);
         assert_tiers_agree(src);
     }
@@ -1918,7 +1914,7 @@ mod tests {
     fn deep_carry_shape_falls_back_even_on_default_budget() {
         // Four pending booleans below the short-circuit join put five
         // values on the stack at the join entry — past MAX_CARRY. This
-        // shape is non-compilable by design and must run fused —
+        // shape is non-compilable by design and must run interpreted —
         // correctly — without the host doing anything.
         let src =
             "return size > 0 == (port > 0 == (size > 1 == (port > 1 == (size > 2 && port > 2))));";
@@ -1926,7 +1922,7 @@ mod tests {
         let inst = Instance::new(&p);
         assert_eq!(
             inst.tier(),
-            ExecTier::Fused,
+            ExecTier::Interpreted,
             "deeper-than-MAX_CARRY joins must fall back"
         );
         assert_tiers_agree(src);

@@ -81,7 +81,7 @@ fn run_raw_batch_matches_per_row_run_raw() {
         for budget in [bound, bound.saturating_sub(2), bound / 2 + 1, 3] {
             for mk in [
                 Instance::new as fn(&Program) -> Instance,
-                Instance::new_fused,
+                Instance::new_interpreted,
             ] {
                 let b = batch_sig(&mut mk(&p), &rows, budget);
                 let s = scalar_sig(&mut mk(&p), &rows, budget);
@@ -144,7 +144,7 @@ fn divisibility_tests_match_reference_on_edge_values() {
                 ExecTier::Compiled,
                 "divisibility shape must take the compiled tier:\n{src}"
             );
-            let mut fused = Instance::new_fused(&p);
+            let mut interp = Instance::new_interpreted(&p);
             let mut refr = Instance::new(&p);
             for v in values {
                 let want = refr
@@ -154,8 +154,8 @@ fn divisibility_tests_match_reference_on_edge_values() {
                 assert_eq!(want, ((v % c == 0) == (op == "==")) as i64, "reference");
                 let got = comp.run_raw(&[v, 0], bound).map(|o| o.ret).unwrap();
                 assert_eq!(got, want, "compiled diverged at g = {v} on\n{src}");
-                let gotf = fused.run_raw(&[v, 0], bound).map(|o| o.ret).unwrap();
-                assert_eq!(gotf, want, "fused diverged at g = {v} on\n{src}");
+                let goti = interp.run_raw(&[v, 0], bound).map(|o| o.ret).unwrap();
+                assert_eq!(goti, want, "interpreter diverged at g = {v} on\n{src}");
             }
         }
     }

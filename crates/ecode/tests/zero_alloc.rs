@@ -1,39 +1,40 @@
-//! Regression test for the compiled execution tier's allocation
-//! discipline: after warmup, running a compiled E-Code program a million
-//! times — block closures, cross-block carries, fuel precharge, output
+//! Regression test for both execution tiers' allocation discipline:
+//! after warmup, running a compiled E-Code program a million times —
+//! block closures, cross-block carries, fuel precharge, output
 //! publication, and the starved-budget per-op fallback — must never
 //! touch the heap. The closures borrow the instance's reusable arenas
 //! (`ecode::jit::Ctx`); a stray `Vec`/`Box` in a block body would break
-//! always-on monitoring budgets exactly like one in `Kprof::emit`.
+//! always-on monitoring budgets exactly like one in `Kprof::emit`. The
+//! same holds for a program the compiled tier declines: the reference
+//! interpreter pushes onto an operand stack reserved to the proved
+//! maximum depth.
 //!
 //! This file is its own test binary so the counting `#[global_allocator]`
-//! observes only this test.
+//! observes only these tests.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use ecode::{ExecTier, Instance, Program, Type};
 
 /// Counts every allocation and every (re)allocation on the test thread
 /// while [`TRACK`] is set; frees — and libtest's harness threads, which
-/// allocate at their own pace — are not interesting here.
+/// allocate at their own pace — are not interesting here. The count is
+/// per thread, so tests running in parallel never see each other's
+/// allocations.
 struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     // const-initialized so the first access inside `alloc` itself never
     // allocates.
     static TRACK: Cell<bool> = const { Cell::new(false) };
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
 }
 
 fn count_if_tracking() {
-    TRACK.with(|t| {
-        if t.get() {
-            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
-    });
+    if TRACK.with(Cell::get) {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+    }
 }
 
 // SAFETY: pure pass-through to `System`, which upholds the GlobalAlloc
@@ -97,7 +98,7 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
         inst.run_raw(&raw, fuel).unwrap();
     }
 
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = ALLOCATIONS.with(Cell::get);
     TRACK.with(|t| t.set(true));
     let mut flagged = 0u64;
     for i in 10_000..1_010_000i64 {
@@ -130,7 +131,7 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
     })
     .unwrap();
     TRACK.with(|t| t.set(false));
-    let after = ALLOCATIONS.load(Ordering::SeqCst);
+    let after = ALLOCATIONS.with(Cell::get);
 
     assert_eq!(
         after - before,
@@ -139,5 +140,59 @@ fn million_compiled_runs_allocate_nothing_after_warmup() {
         after - before
     );
     // Sanity: the loop really did take the accumulate-and-flag path.
+    assert!(flagged > 0);
+}
+
+/// Four pending booleans below a short-circuit join: deeper than the
+/// compiled tier carries across blocks, so `Instance::new` runs it on
+/// the reference interpreter.
+const DEEP_CARRY_SRC: &str =
+    "return size > 0 == (port > 0 == (size > 1 == (port > 1 == (size > 2 && port > 2))));";
+
+#[test]
+fn interpreted_runs_allocate_nothing_after_warmup() {
+    let program = Program::compile(DEEP_CARRY_SRC, &INPUTS).unwrap();
+    let fuel = program.static_fuel_bound();
+    // A clone starts with empty arenas (`Clone` drops spare capacity),
+    // like a digest replica: the first run must size the operand stack.
+    let mut inst = Instance::new(&program).clone();
+    assert_eq!(
+        inst.tier(),
+        ExecTier::Interpreted,
+        "test is vacuous unless the program falls back to the interpreter"
+    );
+    let row = |i: i64| [i % 5 - 1, (i / 5) % 5 - 1];
+
+    for i in 0..100i64 {
+        inst.run_raw(&row(i), fuel).unwrap();
+    }
+
+    let mut rows = Vec::with_capacity(2 * 4096);
+    for i in 0..4096i64 {
+        rows.extend_from_slice(&row(i));
+    }
+    let before = ALLOCATIONS.with(Cell::get);
+    TRACK.with(|t| t.set(true));
+    let mut flagged = 0u64;
+    for i in 0..1_000_000i64 {
+        if inst.run_raw(&row(i), fuel).unwrap().ret != 0 {
+            flagged += 1;
+        }
+    }
+    inst.run_raw_batch(&rows, fuel, |out| {
+        if out.ret != 0 {
+            flagged += 1;
+        }
+    })
+    .unwrap();
+    TRACK.with(|t| t.set(false));
+    let after = ALLOCATIONS.with(Cell::get);
+
+    assert_eq!(
+        after - before,
+        0,
+        "interpreter allocated {} times across 1M post-warmup runs",
+        after - before
+    );
     assert!(flagged > 0);
 }

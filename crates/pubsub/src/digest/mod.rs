@@ -306,8 +306,8 @@ impl ShardedDigest {
     }
 
     /// The execution tier the scalar VM runs on — `Compiled` when the
-    /// program passed the [`ecode::CompileBudget`] heuristic, `Fused`
-    /// otherwise. Every replica makes the same (deterministic) choice,
+    /// program was lowered to closures, `Interpreted` when the compiled
+    /// tier declined it. Every replica makes the same (deterministic) choice,
     /// and the tiers are observably identical, so `merge_from` folds
     /// stay bit-identical regardless of tier.
     pub fn tier(&self) -> ecode::ExecTier {
