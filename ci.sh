@@ -120,6 +120,9 @@ cargo test --workspace -q
 echo "==> cargo test (release)"
 cargo test --release -q
 
+echo "==> GPA receive-path allocation discipline (counting allocator, release)"
+cargo test -q --release -p sysprof --test wire_alloc
+
 echo "==> bench smoke (hot path)"
 # Short hot-path run: exercises the emit->dispatch->VM->encode pipeline in
 # release mode and self-validates the JSON report it writes (the binary

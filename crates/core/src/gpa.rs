@@ -16,7 +16,7 @@ use std::rc::Rc;
 use pubsub::control::ControlMsg;
 use pubsub::digest::{DigestStats, ShardedDigest};
 use pubsub::reliable::{decode_batch, Offer, Reassembler};
-use pubsub::{ChannelDecoder, PubSubError};
+use pubsub::{ChannelDecoder, Decoded, PubSubError};
 use serde::{Deserialize, Serialize};
 use simcore::stats::OnlineStats;
 use simcore::{NodeId, SimDuration, SimTime};
@@ -35,7 +35,10 @@ pub struct GpaConfig {
     pub clock_error_bound: SimDuration,
     /// CPU cost per ingested record (charged on the GPA node).
     pub per_record_cost: SimDuration,
-    /// Cap on retained interaction records (oldest evicted first).
+    /// Cap on *retained* interaction records: past it the oldest is
+    /// evicted, counted in [`GpaStats::records_evicted`]. Class
+    /// aggregates and the digest see every record either way; 0 retains
+    /// none.
     pub max_records: usize,
     /// How many NACKs to send for one gap before abandoning it (the
     /// sender has evicted the range, or the path is dead). Abandoned
@@ -67,7 +70,7 @@ impl Default for GpaConfig {
     }
 }
 
-/// Reliable-delivery counters on the GPA's receive side.
+/// Counters on the GPA's receive side: reliable delivery and retention.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GpaStats {
     /// Sequenced batches received (before dedup/reordering).
@@ -90,6 +93,10 @@ pub struct GpaStats {
     /// Batches that carried no sequence header (legacy/foreign senders);
     /// ingested directly with no reliability guarantees.
     pub unsequenced_batches: u64,
+    /// Interaction records dropped from retention past
+    /// [`GpaConfig::max_records`]. Records ingested = retained
+    /// ([`Gpa::interaction_count`]) + evicted.
+    pub records_evicted: u64,
 }
 
 /// Receive-side state of one daemon→GPA stream.
@@ -196,7 +203,11 @@ pub struct SubscriptionFailure {
 /// to [`GpaSink`]; keep a clone for queries.
 pub struct Gpa {
     config: GpaConfig,
+    /// The retention window is `records[head..]`; the evicted prefix
+    /// before `head` is compacted away once it exceeds an eighth of
+    /// `max_records` (see `Gpa::retain`).
     records: Vec<InteractionRecord>,
+    head: usize,
     by_class: HashMap<(NodeId, Port), ClassAggr>,
     latest_load: HashMap<NodeId, LoadRecord>,
     load_stats: HashMap<NodeId, (OnlineStats, u64)>,
@@ -213,6 +224,21 @@ pub struct Gpa {
     digest: Option<ShardedDigest>,
     /// Reusable scratch row for the digest's raw ingest path.
     digest_row: Vec<i64>,
+    /// Reusable raw row the wire decoder fills, one record at a time.
+    wire_row: Vec<i64>,
+}
+
+/// [`Decoded::Row`] shape index of the interaction schema (18 `U64`s).
+const INTERACTION_SHAPE: usize = 0;
+/// [`Decoded::Row`] shape index of the load schema.
+const LOAD_SHAPE: usize = 1;
+
+/// A per-source wire decoder that classifies every numeric schema it
+/// learns as an interaction or a load record once, when the schema is
+/// installed.
+fn wire_decoder() -> ChannelDecoder {
+    ChannelDecoder::with_shapes(&[InteractionRecord::schema(), LoadRecord::schema()])
+        .expect("record schemas are numeric")
 }
 
 /// Deterministic digest partition key for an interaction: both
@@ -233,6 +259,7 @@ impl Gpa {
         Gpa {
             config,
             records: Vec::new(),
+            head: 0,
             by_class: HashMap::new(),
             latest_load: HashMap::new(),
             load_stats: HashMap::new(),
@@ -246,6 +273,7 @@ impl Gpa {
             subscription_failures: Vec::new(),
             digest: None,
             digest_row: Vec::new(),
+            wire_row: Vec::new(),
         }
     }
 
@@ -325,16 +353,12 @@ impl Gpa {
             .entry(src)
             .or_default()
             .reasm
-            .offer(seq, payload.to_vec());
+            .offer(seq, payload);
         let mut count = 0;
         match offer {
-            Offer::Delivered(batches) => {
-                for (dseq, p) in batches {
-                    if self.config.log_deliveries {
-                        self.delivery_log.push((src, dseq));
-                    }
-                    count += self.ingest_batch(src, &p);
-                }
+            Offer::Deliver => {
+                count += self.deliver(src, seq, payload);
+                count += self.deliver_ready(src);
             }
             Offer::Duplicate => self.gstats.duplicate_batches += 1,
             Offer::Buffered => self.gstats.out_of_order += 1,
@@ -395,16 +419,11 @@ impl Gpa {
             }
             GapAction::Abandon(skip_to) => {
                 let st = self.streams.get_mut(&src).expect("stream just touched");
-                let drained = st.reasm.skip_to(skip_to);
+                st.reasm.skip_to(skip_to);
                 st.gap_open = false;
                 st.last_nack_at = None;
                 self.gstats.gaps_abandoned += 1;
-                for (dseq, p) in drained {
-                    if self.config.log_deliveries {
-                        self.delivery_log.push((src, dseq));
-                    }
-                    count += self.ingest_batch(src, &p);
-                }
+                count += self.deliver_ready(src);
             }
         }
 
@@ -419,7 +438,29 @@ impl Gpa {
         (count, replies)
     }
 
-    /// Reliable-delivery counters.
+    /// Ingests batch `seq` of `src`'s stream, now in order.
+    fn deliver(&mut self, src: EndPoint, seq: u64, payload: &[u8]) -> usize {
+        if self.config.log_deliveries {
+            self.delivery_log.push((src, seq));
+        }
+        self.ingest_batch(src, payload)
+    }
+
+    /// Ingests every buffered batch of `src`'s stream that is now in
+    /// order.
+    fn deliver_ready(&mut self, src: EndPoint) -> usize {
+        let mut count = 0;
+        while let Some((seq, p)) = self
+            .streams
+            .get_mut(&src)
+            .and_then(|st| st.reasm.pop_ready())
+        {
+            count += self.deliver(src, seq, &p);
+        }
+        count
+    }
+
+    /// Receive-side counters: reliable delivery and retention.
     pub fn gpa_stats(&self) -> GpaStats {
         self.gstats
     }
@@ -440,37 +481,66 @@ impl Gpa {
     }
 
     /// Ingests one framed batch from a daemon. Returns records decoded.
+    ///
+    /// Frames are borrowed from `data`, and records of the interaction
+    /// and load schemas decode into one reusable raw row: after warm-up
+    /// a batch allocates nothing per record. Only records of schemas
+    /// with `Str`/`Bytes` fields (which match neither) build `Value`s.
     pub fn ingest_batch(&mut self, src: EndPoint, data: &[u8]) -> usize {
+        // The source's decoder leaves the map for the batch, so it can
+        // decode while records are ingested into `self`.
+        let mut decoder = self.decoders.remove(&src).unwrap_or_else(wire_decoder);
+        let mut row = std::mem::take(&mut self.wire_row);
         let mut count = 0;
-        // Frame split first so the decoder borrow stays local.
-        let frames: Vec<Vec<u8>> = split_frames(data).into_iter().map(|f| f.to_vec()).collect();
-        for frame in frames {
-            let decoder = self.decoders.entry(src).or_default();
-            match decoder.decode(&frame) {
-                Ok(Some((_topic, values))) => {
+        for frame in split_frames(data) {
+            match decoder.decode_raw(frame, &mut row) {
+                Ok(Decoded::Announcement) => {}
+                Ok(Decoded::Row { shape, .. }) => {
+                    count += 1;
+                    self.ingest_row(shape, &row);
+                }
+                Ok(Decoded::Values { values, .. }) => {
                     count += 1;
                     self.ingest_values(&values);
                 }
-                Ok(None) => {}
                 Err(_) => self.decode_failures += 1,
             }
         }
+        self.wire_row = row;
+        self.decoders.insert(src, decoder);
         count
+    }
+
+    /// Ingests one decoded raw row of the given wire shape.
+    fn ingest_row(&mut self, shape: Option<usize>, row: &[i64]) {
+        match shape {
+            Some(INTERACTION_SHAPE) => self.ingest_interaction(
+                InteractionRecord::from_raw_row(row).expect("an interaction-shaped row"),
+            ),
+            Some(LOAD_SHAPE) => {
+                self.ingest_load(LoadRecord::from_raw_row(row).expect("a load-shaped row"))
+            }
+            _ => self.decode_failures += 1,
+        }
     }
 
     fn ingest_values(&mut self, values: &[pbio::Value]) {
         if let Some(rec) = InteractionRecord::from_values(values) {
             self.ingest_interaction(rec);
         } else if let Some(load) = LoadRecord::from_values(values) {
-            self.ingested += 1;
-            let (stats, n) = self.load_stats.entry(load.node).or_default();
-            stats.record(load.cpu_utilization);
-            *n += 1;
-            self.latest_load.insert(load.node, load);
-            self.load_history.push(load);
+            self.ingest_load(load);
         } else {
             self.decode_failures += 1;
         }
+    }
+
+    fn ingest_load(&mut self, load: LoadRecord) {
+        self.ingested += 1;
+        let (stats, n) = self.load_stats.entry(load.node).or_default();
+        stats.record(load.cpu_utilization);
+        *n += 1;
+        self.latest_load.insert(load.node, load);
+        self.load_history.push(load);
     }
 
     /// The single interaction ingest path behind both the wire decoder
@@ -490,15 +560,35 @@ impl Gpa {
             .record(rec.end_us.saturating_sub(rec.start_us) as f64);
         aggr.total_hist
             .record(rec.end_us.saturating_sub(rec.start_us) as f64);
-        if self.records.len() >= self.config.max_records {
-            self.records.remove(0);
+        self.retain(rec);
+    }
+
+    /// Appends `rec` to the retention window, evicting (and counting)
+    /// the oldest record once [`GpaConfig::max_records`] are held.
+    /// Eviction only advances `head`; the evicted prefix is compacted
+    /// away once it exceeds `max_records / 8`, so an eviction costs O(1)
+    /// amortized and `records` never holds more than
+    /// `max_records + max_records / 8` slots.
+    fn retain(&mut self, rec: InteractionRecord) {
+        let cap = self.config.max_records;
+        if self.records.len() - self.head >= cap {
+            self.gstats.records_evicted += 1;
+            if cap == 0 {
+                return;
+            }
+            self.head += 1;
+            if self.head > cap / 8 {
+                self.records.drain(..self.head);
+                self.head = 0;
+            }
         }
         self.records.push(rec);
     }
 
-    /// Interaction records ingested so far.
+    /// Interaction records currently retained: every one ingested minus
+    /// [`GpaStats::records_evicted`].
     pub fn interaction_count(&self) -> u64 {
-        self.records.len() as u64
+        self.interactions().len() as u64
     }
 
     /// Records that failed to decode or match a known schema.
@@ -520,12 +610,12 @@ impl Gpa {
 
     /// All retained interaction records (ingest order).
     pub fn interactions(&self) -> &[InteractionRecord] {
-        &self.records
+        &self.records[self.head..]
     }
 
-    /// Interactions measured on `node` for `class_port`.
+    /// Retained interactions measured on `node` for `class_port`.
     pub fn interactions_of(&self, node: NodeId, class_port: Port) -> Vec<&InteractionRecord> {
-        self.records
+        self.interactions()
             .iter()
             .filter(|r| r.node == node && r.class_port == class_port)
             .collect()
@@ -601,9 +691,10 @@ impl Gpa {
     pub fn correlate(&self) -> Vec<CorrelatedPath> {
         let eps = self.config.clock_error_bound.as_micros();
         let mut paths = Vec::new();
-        for parent in &self.records {
+        let retained = self.interactions();
+        for parent in retained {
             let mut children = Vec::new();
-            for child in &self.records {
+            for child in retained {
                 if child.node == parent.node {
                     continue;
                 }
@@ -905,6 +996,54 @@ mod tests {
         }
         assert_eq!(g.interaction_count(), 2);
         assert_eq!(g.interactions()[0].start_us, 200);
+        assert_eq!(g.gpa_stats().records_evicted, 2);
+    }
+
+    #[test]
+    fn zero_cap_retains_nothing_but_still_aggregates() {
+        let mut g = Gpa::new(GpaConfig {
+            max_records: 0,
+            ..GpaConfig::default()
+        });
+        g.install_digest("static int n = 0; n = n + 1; return n;", 1)
+            .unwrap();
+        for i in 0..5 {
+            g.ingest_record(&rec(1, 10, 20, 80, i * 100, i * 100 + 50));
+        }
+        assert_eq!(g.interaction_count(), 0);
+        assert!(g.interactions().is_empty());
+        assert!(g.correlate().is_empty());
+        assert_eq!(g.gpa_stats().records_evicted, 5);
+        assert_eq!(g.class_summary(NodeId(1), Port(80)).unwrap().count, 5);
+        assert_eq!(g.digest_global("n"), Some(ecode::Value::Int(5)));
+    }
+
+    #[test]
+    fn ingested_is_retained_plus_evicted() {
+        let n = 100u64;
+        for cap in [1, 7, n as usize - 1] {
+            let mut g = Gpa::new(GpaConfig {
+                max_records: cap,
+                ..GpaConfig::default()
+            });
+            for i in 0..n {
+                g.ingest_record(&rec(1, 10, 20, 80, i, i + 1));
+                assert_eq!(
+                    g.interaction_count() + g.gpa_stats().records_evicted,
+                    i + 1,
+                    "cap {cap}"
+                );
+                assert!(g.records.len() <= cap + cap / 8, "cap {cap}: buffer bound");
+            }
+            // The newest `cap` records are retained, oldest first.
+            let starts: Vec<u64> = g.interactions().iter().map(|r| r.start_us).collect();
+            assert_eq!(starts, (n - cap as u64..n).collect::<Vec<_>>(), "cap {cap}");
+            assert_eq!(
+                g.interactions_of(NodeId(1), Port(80)).len(),
+                cap,
+                "cap {cap}"
+            );
+        }
     }
 
     #[test]

@@ -141,6 +141,35 @@ impl InteractionRecord {
         ]);
     }
 
+    /// Decodes from a raw row of the interaction schema (18 `U64`
+    /// fields), the inverse of [`to_raw_row`](Self::to_raw_row) and the
+    /// same record [`from_values`](Self::from_values) builds from the
+    /// equivalent values. Returns `None` if `row` is not 18 fields long.
+    pub fn from_raw_row(row: &[i64]) -> Option<InteractionRecord> {
+        let row: &[i64; 18] = row.try_into().ok()?;
+        let u = |i: usize| row[i] as u64;
+        Some(InteractionRecord {
+            node: NodeId(u(0) as u32),
+            flow: FlowKey::new(
+                EndPoint::new(Ip(u(1) as u32), Port(u(2) as u16)),
+                EndPoint::new(Ip(u(3) as u32), Port(u(4) as u16)),
+            ),
+            class_port: Port(u(5) as u16),
+            pid: u(6) as u32,
+            start_us: u(7),
+            end_us: u(8),
+            req_packets: u(9) as u32,
+            req_bytes: u(10),
+            resp_packets: u(11) as u32,
+            resp_bytes: u(12),
+            kernel_in_us: u(13),
+            user_us: u(14),
+            kernel_out_us: u(15),
+            blocked_us: u(16),
+            blocked_io_us: u(17),
+        })
+    }
+
     /// Decodes from PBIO values.
     ///
     /// Returns `None` if the values do not match the schema shape.
@@ -231,6 +260,24 @@ impl LoadRecord {
         })
     }
 
+    /// Decodes from a raw row of the load schema (doubles as
+    /// `f64::to_bits`), the same record [`from_values`](Self::from_values)
+    /// builds from the equivalent values. Returns `None` if `row` is not
+    /// 6 fields long.
+    pub fn from_raw_row(row: &[i64]) -> Option<LoadRecord> {
+        let &[node, wall_us, cpu, kernel, interactions, monitor_us] = row else {
+            return None;
+        };
+        Some(LoadRecord {
+            node: NodeId(node as u64 as u32),
+            wall_us: wall_us as u64,
+            cpu_utilization: f64::from_bits(cpu as u64),
+            mean_kernel_us: f64::from_bits(kernel as u64),
+            interactions: interactions as u64,
+            monitor_us: monitor_us as u64,
+        })
+    }
+
     /// The wall time as a [`SimTime`].
     pub fn wall(&self) -> SimTime {
         SimTime::from_micros(self.wall_us)
@@ -271,6 +318,42 @@ mod tests {
         assert_eq!(values.len(), InteractionRecord::schema().len());
         let back = InteractionRecord::from_values(&values).unwrap();
         assert_eq!(back, rec);
+    }
+
+    #[test]
+    fn raw_rows_decode_like_values() {
+        let rec = sample();
+        let mut row = Vec::new();
+        rec.to_raw_row(&mut row);
+        assert_eq!(InteractionRecord::from_raw_row(&row), Some(rec));
+        // Out-of-width wire values truncate exactly as `from_values` does.
+        row[0] = u64::MAX as i64;
+        row[2] = 0x1_0050;
+        let values: Vec<Value> = row.iter().map(|&v| Value::U64(v as u64)).collect();
+        assert_eq!(
+            InteractionRecord::from_raw_row(&row),
+            InteractionRecord::from_values(&values)
+        );
+        assert_eq!(InteractionRecord::from_raw_row(&row[1..]), None);
+
+        let load = LoadRecord {
+            node: NodeId(2),
+            wall_us: 7,
+            cpu_utilization: 0.25,
+            mean_kernel_us: -1.5,
+            interactions: 3,
+            monitor_us: 4,
+        };
+        let row = [
+            2,
+            7,
+            0.25f64.to_bits() as i64,
+            (-1.5f64).to_bits() as i64,
+            3,
+            4,
+        ];
+        assert_eq!(LoadRecord::from_raw_row(&row), Some(load));
+        assert_eq!(LoadRecord::from_raw_row(&row[..5]), None);
     }
 
     #[test]

@@ -20,6 +20,12 @@
 //! Output bytes are **identical** to a `RecordWriter` run per row (the
 //! tests pin this), so receivers cannot tell which path encoded a
 //! record; the batch form is purely a producer-side optimization.
+//!
+//! The receive side has the twin: [`BatchEncoder::decode_row_into`]
+//! decodes one record straight into a reusable raw row with the same
+//! frozen kinds, so a subscriber of a numeric schema never builds a
+//! [`Value`](crate::Value) per field. Its values and errors are those
+//! of [`RecordReader::read_all`](crate::RecordReader::read_all).
 
 use crate::schema::{FieldType, Schema};
 use crate::PbioError;
@@ -36,10 +42,11 @@ enum Kind {
     Bool,
 }
 
-/// A schema compiled for batch encoding: field kinds frozen, type
-/// checks hoisted out of the encode loop. Build once per schema, reuse
-/// for every batch.
-#[derive(Debug, Clone)]
+/// A schema compiled for raw-row coding: field kinds frozen, type
+/// checks hoisted out of the encode and decode loops. Build once per
+/// schema, reuse for every batch. Two encoders are equal exactly when
+/// their schemas have the same field types in the same order.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchEncoder {
     kinds: Box<[Kind]>,
     /// Every field is `U64` — the interaction-record hot case, which
@@ -95,6 +102,52 @@ impl BatchEncoder {
         }
         out.reserve(row.len() * MAX_VALUE_BYTES);
         encode_row(&self.kinds, self.all_u64, row, out);
+        Ok(())
+    }
+
+    /// Decodes one record from `buf` into `row` (cleared first), in the
+    /// raw-value bit convention of [`encode_batch_into`]. The decode twin
+    /// of [`encode_row_into`](Self::encode_row_into): values, errors and
+    /// the tolerance of trailing bytes after the last field are exactly
+    /// those of [`RecordReader::read_all`](crate::RecordReader::read_all)
+    /// on the same schema. `row`'s capacity is reused, so a warm row
+    /// decodes without allocating.
+    ///
+    /// # Errors
+    ///
+    /// [`PbioError::UnexpectedEof`] if `buf` ends mid-record;
+    /// [`PbioError::BadVarint`] on a varint longer than 10 bytes. `row`
+    /// holds the fields decoded before the error.
+    pub fn decode_row_into(&self, mut buf: &[u8], row: &mut Vec<i64>) -> Result<(), PbioError> {
+        row.clear();
+        row.reserve(self.stride());
+        if self.all_u64 {
+            for _ in 0..self.stride() {
+                row.push(get_varint(&mut buf)? as i64);
+            }
+            return Ok(());
+        }
+        for &k in self.kinds.iter() {
+            let v = match k {
+                Kind::U64 => get_varint(&mut buf)? as i64,
+                Kind::I64 => crate::varint::zigzag_decode(get_varint(&mut buf)?),
+                Kind::F64 => {
+                    let Some((bytes, rest)) = buf.split_first_chunk::<8>() else {
+                        return Err(PbioError::UnexpectedEof);
+                    };
+                    buf = rest;
+                    u64::from_le_bytes(*bytes) as i64
+                }
+                Kind::Bool => {
+                    let Some((&b, rest)) = buf.split_first() else {
+                        return Err(PbioError::UnexpectedEof);
+                    };
+                    buf = rest;
+                    (b != 0) as i64
+                }
+            };
+            row.push(v);
+        }
         Ok(())
     }
 }
@@ -200,10 +253,42 @@ fn put_varint(out: &mut Vec<u8>, mut v: u64) {
     out.extend_from_slice(&scratch[..=i]);
 }
 
+/// LEB128 read over a byte slice, advancing it. Same results and errors
+/// as [`read_u64`](crate::varint::read_u64), including the high bits a
+/// tenth byte shifts out, with the one-byte case short-circuited. Kept
+/// apart from the generic `Buf` reader for speed: decoding through
+/// `read_u64` instead cost 8–11% of `gpa_fanin`'s end-to-end records/s
+/// (two paired runs on a 2-core host).
+#[inline]
+fn get_varint(buf: &mut &[u8]) -> Result<u64, PbioError> {
+    if let Some((&b, rest)) = buf.split_first() {
+        if b < 0x80 {
+            *buf = rest;
+            return Ok(b as u64);
+        }
+    }
+    let mut v = 0u64;
+    let mut shift = 0u32;
+    loop {
+        let Some((&byte, rest)) = buf.split_first() else {
+            return Err(PbioError::UnexpectedEof);
+        };
+        *buf = rest;
+        if shift >= 64 {
+            return Err(PbioError::BadVarint);
+        }
+        v |= ((byte & 0x7F) as u64) << shift;
+        if byte & 0x80 == 0 {
+            return Ok(v);
+        }
+        shift += 7;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::RecordWriter;
+    use crate::record::{RecordReader, RecordWriter, Value};
     use crate::varint::write_u64;
     use proptest::prelude::*;
 
@@ -345,7 +430,136 @@ mod tests {
         }
     }
 
+    /// A schema of the given kinds (0 = U64, 1 = I64, 2 = F64, 3 = Bool).
+    fn schema_of(kinds: &[u8]) -> Schema {
+        let types = [
+            FieldType::U64,
+            FieldType::I64,
+            FieldType::F64,
+            FieldType::Bool,
+        ];
+        kinds
+            .iter()
+            .enumerate()
+            .fold(Schema::build("p"), |b, (i, &k)| {
+                b.field(&format!("f{i}"), types[k as usize % 4])
+            })
+            .finish()
+            .unwrap()
+    }
+
+    /// The oracle: `RecordReader::read_all`, mapped to raw bits.
+    fn read_all_raw(schema: &Schema, bytes: &[u8]) -> Result<Vec<i64>, PbioError> {
+        let values = RecordReader::new(schema, bytes).read_all()?;
+        Ok(values
+            .iter()
+            .map(|v| match *v {
+                Value::U64(x) => x as i64,
+                Value::I64(x) => x,
+                Value::F64(x) => x.to_bits() as i64,
+                Value::Bool(b) => b as i64,
+                Value::Str(_) | Value::Bytes(_) => unreachable!("numeric schema"),
+            })
+            .collect())
+    }
+
+    fn decode_raw(schema: &Schema, bytes: &[u8]) -> Result<Vec<i64>, PbioError> {
+        let mut row = vec![-1; 3]; // stale contents must not leak through
+        BatchEncoder::new(schema)
+            .unwrap()
+            .decode_row_into(bytes, &mut row)
+            .map(|()| row)
+    }
+
+    #[test]
+    fn decode_row_round_trips_and_tolerates_trailing_bytes() {
+        let schema = numeric_schema();
+        let enc = BatchEncoder::new(&schema).unwrap();
+        let row = [u64::MAX as i64, i64::MIN, (-0.0f64).to_bits() as i64, 1];
+        let mut bytes = Vec::new();
+        enc.encode_row_into(&row, &mut bytes).unwrap();
+        assert_eq!(decode_raw(&schema, &bytes), Ok(row.to_vec()));
+        bytes.extend_from_slice(&[0xFF, 0x00]);
+        assert_eq!(decode_raw(&schema, &bytes), Ok(row.to_vec()));
+    }
+
+    #[test]
+    fn decode_row_errors_match_read_all() {
+        let u = Schema::build("u")
+            .field("a", FieldType::U64)
+            .finish()
+            .unwrap();
+        // Ten continuation bytes then a terminator: an eleventh byte.
+        let mut overlong = vec![0x80u8; 10];
+        overlong.push(0x01);
+        assert_eq!(decode_raw(&u, &overlong), Err(PbioError::BadVarint));
+        // Ten bytes whose last shifts bits out of a u64: a value, not an
+        // error, exactly as `read_u64` decodes it.
+        let mut ten = vec![0xFFu8; 9];
+        ten.push(0x7F);
+        assert_eq!(decode_raw(&u, &ten), read_all_raw(&u, &ten));
+        assert_eq!(decode_raw(&u, &ten[..4]), Err(PbioError::UnexpectedEof));
+        assert_eq!(decode_raw(&u, &[]), Err(PbioError::UnexpectedEof));
+        let f = Schema::build("f")
+            .field("a", FieldType::F64)
+            .finish()
+            .unwrap();
+        assert_eq!(decode_raw(&f, &[0; 7]), Err(PbioError::UnexpectedEof));
+        let b = Schema::build("b")
+            .field("a", FieldType::Bool)
+            .finish()
+            .unwrap();
+        assert_eq!(decode_raw(&b, &[]), Err(PbioError::UnexpectedEof));
+        assert_eq!(decode_raw(&b, &[7]), Ok(vec![1]));
+    }
+
     proptest! {
+        /// The raw-row decoder is `RecordReader::read_all` in raw bits:
+        /// same values and same error on intact records, truncated ones,
+        /// records with an over-long varint spliced in, records with
+        /// trailing bytes, and arbitrary bytes.
+        #[test]
+        fn prop_decode_row_matches_read_all(
+            kinds in proptest::collection::vec(0u8..4, 1..12),
+            raw in proptest::collection::vec(any::<i64>(), 12),
+            widths in proptest::collection::vec(0u32..64, 12),
+            at in any::<usize>(),
+            noise in proptest::collection::vec(any::<u8>(), 0..40),
+        ) {
+            let schema = schema_of(&kinds);
+            // Mix short and long varints: shift each value down to a
+            // random width.
+            let row: Vec<i64> = raw
+                .iter()
+                .zip(&widths)
+                .take(kinds.len())
+                .map(|(&v, &w)| v >> w)
+                .collect();
+            let mut record = Vec::new();
+            BatchEncoder::new(&schema)
+                .unwrap()
+                .encode_row_into(&row, &mut record)
+                .unwrap();
+            for mode in 0..5 {
+                let mut bytes = record.clone();
+                match mode {
+                    0 => {}
+                    1 => bytes.truncate(at % (bytes.len() + 1)),
+                    2 => {
+                        let mut overlong = vec![0x80u8 | noise.len() as u8; 10 + at % 3];
+                        overlong.push(0x01);
+                        let pos = at % (bytes.len() + 1);
+                        bytes.splice(pos..pos, overlong);
+                    }
+                    3 => bytes.extend_from_slice(&noise),
+                    _ => bytes.clone_from(&noise),
+                }
+                let got = decode_raw(&schema, &bytes);
+                let want = read_all_raw(&schema, &bytes);
+                prop_assert_eq!(&got, &want, "mode {}: {:?} vs {:?}", mode, got, want);
+            }
+        }
+
         /// Batch encoding is byte-identical to per-record RecordWriter
         /// encoding for arbitrary numeric rows.
         #[test]

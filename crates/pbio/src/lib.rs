@@ -14,6 +14,9 @@
 //!   themselves so receivers can learn formats dynamically,
 //! * [`RecordWriter`] / [`RecordReader`] — fast, compact record codecs
 //!   (varint-compressed integers, fixed-width floats),
+//! * [`BatchEncoder`] — a numeric schema compiled once for raw-row
+//!   encoding ([`encode_batch_into`]) and decoding
+//!   ([`BatchEncoder::decode_row_into`]),
 //! * [`Value`] — the dynamic decoded form.
 //!
 //! # Example

@@ -565,13 +565,93 @@ impl Hub {
 /// The subscriber half: decodes the self-describing stream.
 #[derive(Default)]
 pub struct ChannelDecoder {
-    schemas: SchemaRegistry,
+    /// Installed schemas by wire id.
+    schemas: HashMap<u32, Installed>,
+    /// The record shapes the subscriber knows (see
+    /// [`with_shapes`](ChannelDecoder::with_shapes)).
+    shapes: Vec<BatchEncoder>,
+}
+
+/// One installed schema. A numeric schema also carries its raw-row
+/// decoder and the index of the known shape it matches, both settled
+/// once, when the schema is installed.
+struct Installed {
+    schema: Schema,
+    raw: Option<(BatchEncoder, Option<usize>)>,
+}
+
+/// One message decoded by [`ChannelDecoder::decode_raw`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum Decoded {
+    /// A schema announcement carrying no record.
+    Announcement,
+    /// A record of a numeric schema, decoded into the caller's raw row.
+    Row {
+        /// The record's topic.
+        topic: TopicId,
+        /// Index of the [`with_shapes`](ChannelDecoder::with_shapes)
+        /// schema whose field types the record's schema has, if any.
+        shape: Option<usize>,
+    },
+    /// A record of a schema with `Str`/`Bytes` fields, which has no
+    /// raw-row form.
+    Values {
+        /// The record's topic.
+        topic: TopicId,
+        /// The record's fields, in schema order.
+        values: Vec<Value>,
+    },
 }
 
 impl ChannelDecoder {
     /// An empty decoder (learns schemas from the stream).
     pub fn new() -> Self {
         ChannelDecoder::default()
+    }
+
+    /// A decoder that classifies every numeric schema it installs
+    /// against `shapes`: [`decode_raw`](Self::decode_raw) then reports
+    /// the index of the shape whose field types (names aside) match.
+    ///
+    /// # Errors
+    ///
+    /// [`PubSubError::Codec`] if a shape has `Str`/`Bytes` fields.
+    pub fn with_shapes(shapes: &[Schema]) -> Result<Self, PubSubError> {
+        Ok(ChannelDecoder {
+            schemas: HashMap::new(),
+            shapes: shapes
+                .iter()
+                .map(BatchEncoder::new)
+                .collect::<Result<_, _>>()?,
+        })
+    }
+
+    /// Reads a message's header, installing the schema it announces.
+    /// Returns the topic, the schema id and the record bytes (empty for
+    /// an announcement).
+    fn header<'w>(&mut self, wire: &'w [u8]) -> Result<(TopicId, u32, &'w [u8]), PubSubError> {
+        let mut buf = wire;
+        let topic = TopicId(read_u64(&mut buf)? as u32);
+        let id = read_u64(&mut buf)? as u32;
+        let Some((&has_schema, rest)) = buf.split_first() else {
+            return Err(PubSubError::Codec(PbioError::UnexpectedEof));
+        };
+        buf = rest;
+        if has_schema != 0 {
+            let schema = Schema::decode(&mut buf)?;
+            let raw = BatchEncoder::new(&schema).ok().map(|codec| {
+                let shape = self.shapes.iter().position(|s| *s == codec);
+                (codec, shape)
+            });
+            self.schemas.insert(id, Installed { schema, raw });
+        }
+        Ok((topic, id, buf))
+    }
+
+    fn installed(&self, id: u32) -> Result<&Installed, PubSubError> {
+        self.schemas
+            .get(&id)
+            .ok_or(PubSubError::Codec(PbioError::UnknownSchema(id)))
     }
 
     /// Decodes one published message into `(topic, values)`. Returns
@@ -581,29 +661,48 @@ impl ChannelDecoder {
     ///
     /// Codec errors on malformed input or unknown schema ids.
     pub fn decode(&mut self, wire: &[u8]) -> Result<Option<(TopicId, Vec<Value>)>, PubSubError> {
-        let mut buf = wire;
-        let topic = TopicId(read_u64(&mut buf)? as u32);
-        let schema_id = SchemaId(read_u64(&mut buf)? as u32);
-        if buf.is_empty() {
-            return Err(PubSubError::Codec(PbioError::UnexpectedEof));
-        }
-        let has_schema = buf[0] != 0;
-        buf = &buf[1..];
-        if has_schema {
-            let schema = Schema::decode(&mut buf)?;
-            self.schemas.install(schema_id, schema);
-        }
-        if buf.is_empty() {
+        let (topic, id, body) = self.header(wire)?;
+        if body.is_empty() {
             return Ok(None);
         }
-        let schema = self.schemas.get(schema_id)?.clone();
-        let values = RecordReader::new(&schema, buf).read_all()?;
-        Ok(Some((topic, values)))
+        let schema = &self.installed(id)?.schema;
+        Ok(Some((topic, RecordReader::new(schema, body).read_all()?)))
+    }
+
+    /// [`decode`](Self::decode) without the per-field [`Value`]s: a
+    /// record of a numeric schema decodes straight into `row` (cleared
+    /// first, capacity reused) in the raw-row bit convention of
+    /// [`pbio::encode_batch_into`], through the decoder cached when its
+    /// schema was installed. Accepts and rejects exactly the messages
+    /// `decode` does; only `Str`/`Bytes` schemas still build `Value`s.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`decode`](Self::decode).
+    pub fn decode_raw(&mut self, wire: &[u8], row: &mut Vec<i64>) -> Result<Decoded, PubSubError> {
+        let (topic, id, body) = self.header(wire)?;
+        if body.is_empty() {
+            return Ok(Decoded::Announcement);
+        }
+        let installed = self.installed(id)?;
+        match &installed.raw {
+            Some((codec, shape)) => {
+                codec.decode_row_into(body, row)?;
+                Ok(Decoded::Row {
+                    topic,
+                    shape: *shape,
+                })
+            }
+            None => Ok(Decoded::Values {
+                topic,
+                values: RecordReader::new(&installed.schema, body).read_all()?,
+            }),
+        }
     }
 
     /// The schema most recently associated with an id, if known.
     pub fn schema(&self, id: SchemaId) -> Option<&Schema> {
-        self.schemas.get(id).ok()
+        self.schemas.get(&id.0).map(|i| &i.schema)
     }
 }
 
@@ -671,6 +770,68 @@ mod tests {
         let (topic, vals) = dec.decode(&second[0].1).unwrap().unwrap();
         assert_eq!(topic, t);
         assert_eq!(vals[0], Value::U64(6));
+    }
+
+    #[test]
+    fn decode_raw_classifies_schemas_by_field_types() {
+        let numeric = Schema::build("n")
+            .field("a", FieldType::U64)
+            .field("b", FieldType::F64)
+            .finish()
+            .unwrap();
+        // Same field types under other names: the same shape.
+        let renamed = Schema::build("r")
+            .field("x", FieldType::U64)
+            .field("y", FieldType::F64)
+            .finish()
+            .unwrap();
+        let other = Schema::build("o")
+            .field("a", FieldType::F64)
+            .field("b", FieldType::U64)
+            .finish()
+            .unwrap();
+        let mut hub = Hub::new();
+        let t = hub.topic("x");
+        hub.subscribe(t, ep(1), None).unwrap();
+        let mut dec = ChannelDecoder::with_shapes(&[other.clone(), numeric]).unwrap();
+        let mut row = Vec::new();
+        let pair = [Value::U64(5), Value::F64(0.5)];
+        let sends = hub.publish(t, &renamed, &pair).unwrap();
+        assert_eq!(
+            dec.decode_raw(&sends[0].1, &mut row),
+            Ok(Decoded::Row {
+                topic: t,
+                shape: Some(1)
+            })
+        );
+        assert_eq!(row, vec![5, 0.5f64.to_bits() as i64]);
+        let sends = hub
+            .publish(
+                t,
+                &Schema::build("z")
+                    .field("a", FieldType::U64)
+                    .finish()
+                    .unwrap(),
+                &[Value::U64(3)],
+            )
+            .unwrap();
+        assert_eq!(
+            dec.decode_raw(&sends[0].1, &mut row),
+            Ok(Decoded::Row {
+                topic: t,
+                shape: None
+            })
+        );
+        assert_eq!(row, vec![3]);
+        let sends = hub.publish(t, &schema(), &rec(9, 0.25)).unwrap();
+        assert_eq!(
+            dec.decode_raw(&sends[0].1, &mut row),
+            Ok(Decoded::Values {
+                topic: t,
+                values: rec(9, 0.25)
+            })
+        );
+        assert!(ChannelDecoder::with_shapes(&[schema()]).is_err());
     }
 
     #[test]
@@ -853,12 +1014,104 @@ mod wire_fuzz {
     use proptest::prelude::*;
     use simnet::{Ip, Port};
 
+    /// Runs `wire` through `decode` on one decoder and `decode_raw` on
+    /// another, and checks they agree: same error, or the same record
+    /// (raw bits for numeric schemas).
+    fn agree(
+        by_value: &mut ChannelDecoder,
+        by_row: &mut ChannelDecoder,
+        wire: &[u8],
+    ) -> Result<(), String> {
+        let mut row = vec![7; 2];
+        let want = by_value.decode(wire);
+        let got = by_row.decode_raw(wire, &mut row);
+        let as_raw = |values: &[Value]| -> Vec<i64> {
+            values
+                .iter()
+                .map(|v| match *v {
+                    Value::U64(x) => x as i64,
+                    Value::I64(x) => x,
+                    Value::F64(x) => x.to_bits() as i64,
+                    Value::Bool(b) => b as i64,
+                    _ => unreachable!("numeric schema"),
+                })
+                .collect()
+        };
+        let same = match (&want, &got) {
+            (Err(a), Err(b)) => a == b,
+            (Ok(None), Ok(Decoded::Announcement)) => true,
+            (Ok(Some((ta, values))), Ok(Decoded::Row { topic, .. })) => {
+                ta == topic && as_raw(values) == row
+            }
+            (Ok(Some((ta, va))), Ok(Decoded::Values { topic, values })) => {
+                ta == topic && va == values
+            }
+            _ => false,
+        };
+        if same {
+            Ok(())
+        } else {
+            Err(format!(
+                "decode {want:?} vs decode_raw {got:?} (row {row:?})"
+            ))
+        }
+    }
+
     proptest! {
-        /// The channel decoder is total on arbitrary input.
+        /// The channel decoder is total on arbitrary input, and its raw
+        /// form agrees with it.
         #[test]
         fn prop_decoder_total(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
             let mut dec = ChannelDecoder::new();
             let _ = dec.decode(&bytes);
+            agree(&mut ChannelDecoder::new(), &mut ChannelDecoder::new(), &bytes)?;
+        }
+
+        /// `decode_raw` agrees with `decode` on a published stream of a
+        /// numeric and a string schema, with messages cut short.
+        #[test]
+        fn prop_decode_raw_agrees_with_decode(
+            nums in proptest::collection::vec(any::<u64>(), 1..8),
+            cut in proptest::collection::vec(0usize..64, 1..8),
+        ) {
+            let numeric = Schema::build("n")
+                .field("a", FieldType::U64)
+                .field("b", FieldType::I64)
+                .field("c", FieldType::F64)
+                .field("d", FieldType::Bool)
+                .finish()
+                .unwrap();
+            let text = Schema::build("s")
+                .field("a", FieldType::U64)
+                .field("s", FieldType::Str)
+                .finish()
+                .unwrap();
+            let mut hub = Hub::new();
+            let t = hub.topic("x");
+            hub.subscribe(t, EndPoint::new(Ip(1), Port(9)), None).unwrap();
+            let mut by_value = ChannelDecoder::new();
+            let mut by_row = ChannelDecoder::with_shapes(std::slice::from_ref(&numeric)).unwrap();
+            for (i, &n) in nums.iter().enumerate() {
+                let (schema, values) = if n % 3 == 0 {
+                    (&text, vec![Value::U64(n), Value::Str(format!("r{n}"))])
+                } else {
+                    let values = vec![
+                        Value::U64(n),
+                        Value::I64(n as i64),
+                        Value::F64(f64::from_bits(n)),
+                        Value::Bool(n % 2 == 0),
+                    ];
+                    (&numeric, values)
+                };
+                let sends = hub.publish(t, schema, &values).unwrap();
+                let mut wire = sends[0].1.clone();
+                // Every other message is cut at a random point (past
+                // the header, so the schema still installs sometimes).
+                if i % 2 == 1 {
+                    wire.truncate(cut[i % cut.len()].min(wire.len()));
+                }
+                agree(&mut by_value, &mut by_row, &wire)?;
+            }
         }
 
         /// Publish → decode round-trips arbitrary numeric records.

@@ -216,20 +216,25 @@ impl ResendBuffer {
 }
 
 /// What a [`Reassembler`] did with an offered batch.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Offer {
-    /// The batch was in order: it (and any buffered successors it
-    /// unblocked) are delivered, in sequence order.
-    Delivered(Vec<(u64, Vec<u8>)>),
+    /// The batch was in order: the caller delivers the payload it
+    /// offered, then drains any buffered successors it unblocked with
+    /// [`Reassembler::pop_ready`].
+    Deliver,
     /// Already seen — dropped, never delivered twice.
     Duplicate,
-    /// Ahead of a gap — buffered until the gap fills or is abandoned.
+    /// Ahead of a gap — copied and buffered until the gap fills or is
+    /// abandoned.
     Buffered,
 }
 
 /// Receiver-side per-subscription stream state: delivers batches exactly
 /// once and in order, buffers out-of-order arrivals, and exposes the
 /// current gap for NACKing.
+///
+/// In-order batches are never copied: [`offer`](Reassembler::offer)
+/// borrows the payload and only an out-of-order one is stored.
 #[derive(Debug)]
 pub struct Reassembler {
     /// Next sequence number not yet delivered (sequences start at 1).
@@ -252,22 +257,31 @@ impl Reassembler {
         }
     }
 
-    /// Offers one received batch.
-    pub fn offer(&mut self, seq: u64, payload: Vec<u8>) -> Offer {
+    /// Offers one received batch. On [`Offer::Deliver`] the stream has
+    /// advanced past `seq` and the caller owns delivering `payload`.
+    pub fn offer(&mut self, seq: u64, payload: &[u8]) -> Offer {
         if seq < self.next || self.pending.contains_key(&seq) {
             return Offer::Duplicate;
         }
         if seq != self.next {
-            self.pending.insert(seq, payload);
+            self.pending.insert(seq, payload.to_vec());
             return Offer::Buffered;
         }
-        let mut out = vec![(seq, payload)];
         self.next += 1;
-        while let Some(p) = self.pending.remove(&self.next) {
-            out.push((self.next, p));
-            self.next += 1;
+        Offer::Deliver
+    }
+
+    /// Takes the buffered batch with the next expected sequence, if any,
+    /// advancing the stream past it. Call until `None` after an
+    /// [`Offer::Deliver`] or a [`skip_to`](Reassembler::skip_to).
+    pub fn pop_ready(&mut self) -> Option<(u64, Vec<u8>)> {
+        let entry = self.pending.first_entry()?;
+        if *entry.key() != self.next {
+            return None;
         }
-        Offer::Delivered(out)
+        let payload = entry.remove();
+        self.next += 1;
+        Some((self.next - 1, payload))
     }
 
     /// The inclusive sequence range currently missing, if any batch is
@@ -278,19 +292,14 @@ impl Reassembler {
     }
 
     /// Abandons everything below `seq`: advances the stream past a gap
-    /// that will never be filled (sender evicted it, or retries ran out)
-    /// and delivers any buffered batches that become in-order.
-    pub fn skip_to(&mut self, seq: u64) -> Vec<(u64, Vec<u8>)> {
+    /// that will never be filled (sender evicted it, or retries ran out).
+    /// Buffered batches that become in order are then drained with
+    /// [`pop_ready`](Reassembler::pop_ready).
+    pub fn skip_to(&mut self, seq: u64) {
         if seq > self.next {
             self.next = seq;
         }
         self.pending.retain(|&s, _| s >= self.next);
-        let mut out = Vec::new();
-        while let Some(p) = self.pending.remove(&self.next) {
-            out.push((self.next, p));
-            self.next += 1;
-        }
-        out
     }
 
     /// The next sequence number the stream expects.
@@ -329,14 +338,23 @@ mod tests {
         assert_eq!(decode_batch(&encode_batch(7, b"")), Some((7, &b""[..])));
     }
 
+    /// Offers `payload` and returns every delivery it makes, the offered
+    /// batch first, then the successors it unblocked.
+    fn offer_all(r: &mut Reassembler, seq: u64, payload: &[u8]) -> Vec<(u64, Vec<u8>)> {
+        let mut out = Vec::new();
+        if r.offer(seq, payload) == Offer::Deliver {
+            out.push((seq, payload.to_vec()));
+            out.extend(std::iter::from_fn(|| r.pop_ready()));
+        }
+        out
+    }
+
     #[test]
     fn in_order_stream_delivers_everything_once() {
         let mut r = Reassembler::new();
         for seq in 1..=10u64 {
-            match r.offer(seq, vec![seq as u8]) {
-                Offer::Delivered(got) => assert_eq!(got, vec![(seq, vec![seq as u8])]),
-                other => panic!("seq {seq}: {other:?}"),
-            }
+            assert_eq!(r.offer(seq, &[seq as u8]), Offer::Deliver, "seq {seq}");
+            assert_eq!(r.pop_ready(), None, "nothing buffered behind {seq}");
         }
         assert_eq!(r.next_expected(), 11);
         assert_eq!(r.ack_value(), 10);
@@ -346,21 +364,16 @@ mod tests {
     #[test]
     fn gap_buffers_then_drains_in_order() {
         let mut r = Reassembler::new();
-        assert!(matches!(r.offer(1, b"a".to_vec()), Offer::Delivered(_)));
+        assert_eq!(r.offer(1, b"a"), Offer::Deliver);
         // 2 is lost; 3 and 4 arrive.
-        assert_eq!(r.offer(3, b"c".to_vec()), Offer::Buffered);
-        assert_eq!(r.offer(4, b"d".to_vec()), Offer::Buffered);
+        assert_eq!(r.offer(3, b"c"), Offer::Buffered);
+        assert_eq!(r.offer(4, b"d"), Offer::Buffered);
         assert_eq!(r.gap(), Some((2, 2)));
         // The retransmit of 2 unblocks the whole run.
-        match r.offer(2, b"b".to_vec()) {
-            Offer::Delivered(got) => {
-                assert_eq!(
-                    got,
-                    vec![(2, b"b".to_vec()), (3, b"c".to_vec()), (4, b"d".to_vec())]
-                );
-            }
-            other => panic!("{other:?}"),
-        }
+        assert_eq!(
+            offer_all(&mut r, 2, b"b"),
+            vec![(2, b"b".to_vec()), (3, b"c".to_vec()), (4, b"d".to_vec())]
+        );
         assert_eq!(r.gap(), None);
         assert_eq!(r.pending_len(), 0);
     }
@@ -368,24 +381,25 @@ mod tests {
     #[test]
     fn duplicates_are_never_delivered_twice() {
         let mut r = Reassembler::new();
-        assert!(matches!(r.offer(1, b"a".to_vec()), Offer::Delivered(_)));
-        assert_eq!(r.offer(1, b"a".to_vec()), Offer::Duplicate);
-        assert_eq!(r.offer(3, b"c".to_vec()), Offer::Buffered);
-        assert_eq!(r.offer(3, b"c".to_vec()), Offer::Duplicate);
+        assert_eq!(r.offer(1, b"a"), Offer::Deliver);
+        assert_eq!(r.offer(1, b"a"), Offer::Duplicate);
+        assert_eq!(r.offer(3, b"c"), Offer::Buffered);
+        assert_eq!(r.offer(3, b"c"), Offer::Duplicate);
     }
 
     #[test]
     fn skip_to_abandons_gap_and_drains() {
         let mut r = Reassembler::new();
-        assert!(matches!(r.offer(1, b"a".to_vec()), Offer::Delivered(_)));
-        assert_eq!(r.offer(4, b"d".to_vec()), Offer::Buffered);
+        assert_eq!(r.offer(1, b"a"), Offer::Deliver);
+        assert_eq!(r.offer(4, b"d"), Offer::Buffered);
         assert_eq!(r.gap(), Some((2, 3)));
-        let drained = r.skip_to(4);
-        assert_eq!(drained, vec![(4, b"d".to_vec())]);
+        r.skip_to(4);
+        assert_eq!(r.pop_ready(), Some((4, b"d".to_vec())));
+        assert_eq!(r.pop_ready(), None);
         assert_eq!(r.next_expected(), 5);
         assert_eq!(r.gap(), None);
         // Late arrivals of the abandoned range are duplicates now.
-        assert_eq!(r.offer(2, b"b".to_vec()), Offer::Duplicate);
+        assert_eq!(r.offer(2, b"b"), Offer::Duplicate);
     }
 
     #[test]
@@ -500,9 +514,8 @@ mod tests {
                 rng.shuffle(&mut in_flight);
                 for (_, wire) in in_flight.drain(..) {
                     let (seq, payload) = decode_batch(&wire).expect("well-formed");
-                    if let Offer::Delivered(got) = receiver.offer(seq, payload.to_vec()) {
-                        delivered.extend(got.iter().map(|(s, _)| *s));
-                    }
+                    let got = offer_all(&mut receiver, seq, payload);
+                    delivered.extend(got.iter().map(|(s, _)| *s));
                 }
                 sender.ack_upto(receiver.ack_value());
                 if sender.is_empty() {

@@ -44,11 +44,14 @@ fn drive(total: u64, ops: &[NetOp]) -> (Delivered, Vec<u64>, Reassembler) {
     let mut delivered: Vec<(u64, Vec<u8>)> = Vec::new();
     let mut r = Reassembler::new();
 
-    let push = |r: &mut Reassembler, seq: u64, delivered: &mut Vec<(u64, Vec<u8>)>| match r
-        .offer(seq, payload(seq))
-    {
-        Offer::Delivered(batch) => delivered.extend(batch),
-        Offer::Duplicate | Offer::Buffered => {}
+    // The receiver's loop: deliver the borrowed in-order payload, then
+    // every buffered successor it unblocked.
+    let push = |r: &mut Reassembler, seq: u64, delivered: &mut Vec<(u64, Vec<u8>)>| {
+        let wire = payload(seq);
+        if r.offer(seq, &wire) == Offer::Deliver {
+            delivered.push((seq, wire));
+            delivered.extend(std::iter::from_fn(|| r.pop_ready()));
+        }
     };
 
     for op in ops {
@@ -118,7 +121,8 @@ proptest! {
         let mut skip_targets: Vec<u64> = dropped.clone();
         skip_targets.sort_unstable();
         for gap_seq in skip_targets {
-            delivered.extend(r.skip_to(gap_seq + 1));
+            r.skip_to(gap_seq + 1);
+            delivered.extend(std::iter::from_fn(|| r.pop_ready()));
         }
         let got: Vec<u64> = delivered.iter().map(|(s, _)| *s).collect();
         let expected: Vec<u64> = (1..=total).filter(|s| !dropped.contains(s)).collect();
@@ -133,7 +137,7 @@ proptest! {
         let mut r = Reassembler::new();
         let mut seen: Vec<u64> = Vec::new();
         for seq in seqs {
-            let outcome = r.offer(seq, vec![]);
+            let outcome = r.offer(seq, &[]);
             if seen.contains(&seq) {
                 prop_assert_eq!(
                     outcome,
@@ -164,7 +168,9 @@ proptest! {
                 break;
             }
             let seq = in_flight.remove(i % in_flight.len());
-            let _ = r.offer(seq, payload(seq));
+            if r.offer(seq, &payload(seq)) == Offer::Deliver {
+                while r.pop_ready().is_some() {}
+            }
             match r.gap() {
                 Some((lo, hi)) => {
                     prop_assert_eq!(lo, r.next_expected());
